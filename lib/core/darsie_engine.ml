@@ -13,6 +13,7 @@ let name_of o =
   | true, true -> "DARSIE-IGNORE-STORE-NO-CF-SYNC"
 
 type sync_entry = {
+  sync_occ : int;
   mutable arrived : int;
   mutable released : bool;
   mutable first_succ : int;
@@ -21,21 +22,42 @@ type sync_entry = {
 type slot_state = {
   skip : Skip_table.t;
   majority : Majority.t;
-  syncs : (int * int, sync_entry) Hashtbl.t;  (* (branch pc, occ) *)
+  (* The branch syncs opened since the last barrier, twice: [syncs],
+     keyed (branch pc, occ), fixes the order the release scan visits
+     them in — observable, since a release can shrink the majority the
+     later entries are tested against — and [sync_at] answers the
+     per-cycle lookups: per branch PC, its entries, newest first. *)
+  syncs : (int * int, sync_entry) Hashtbl.t;
+  sync_at : sync_entry list array;
+  (* Effective majority at the last release scan that released nothing,
+     -1 when the next scan must run. Between barriers the effective
+     majority only shrinks and an arrival tests the release condition
+     itself, so while it is unchanged a scan could release nothing. *)
+  mutable scanned_em : int;
   mutable warps : Engine.wctx array;
   mutable bar_arrived : int;
 }
 
-let warp_drained (w : Engine.wctx) =
-  Engine.warp_done w && Queue.is_empty w.Engine.ibuf
+(* [Engine.warp_done], restated so it inlines on the per-warp paths
+   (modules are compiled without cross-module inlining in dune's
+   default profile). *)
+let warp_done (w : Engine.wctx) = w.Engine.fi >= Array.length w.Engine.trace
 
 (* Warps still producing work: a finished warp must not gate
    synchronization or register freeing. *)
 let alive_mask slot =
-  Array.fold_left
-    (fun acc (w : Engine.wctx) ->
-      if Engine.warp_done w then acc else acc lor (1 lsl w.Engine.warp_in_tb))
-    0 slot.warps
+  let m = ref 0 in
+  for k = 0 to Array.length slot.warps - 1 do
+    let w = slot.warps.(k) in
+    if not (warp_done w) then m := !m lor (1 lsl w.Engine.warp_in_tb)
+  done;
+  !m
+
+let no_sync = { sync_occ = -1; arrived = 0; released = true; first_succ = -1 }
+
+let rec find_sync occ = function
+  | [] -> no_sync
+  | e :: rest -> if e.sync_occ = occ then e else find_sync occ rest
 
 let successor_of (w : Engine.wctx) =
   if w.Engine.fi + 1 < Array.length w.Engine.trace then
@@ -63,10 +85,25 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     if options.no_cf_sync then max_int / 2
     else cfg.Config.rename_regs_per_tb
   in
+  let ninsts = Array.length kinfo.Kinfo.unit_of in
   (* One telemetry block outlives the per-TB tables, so [pc_telemetry]
      reports entry statistics over the SM's whole run. *)
   let telemetry = Skip_table.Telemetry.create () in
+  (* Resident TBs by slot. The table's iteration order is the order the
+     skip phase visits TBs in, which is observable (they share the PC
+     coalescer's ports), so it is kept as is; [visit] caches that order
+     between launches and retirements, and [by_slot] serves lookups. *)
   let slots : (int, slot_state) Hashtbl.t = Hashtbl.create 8 in
+  let by_slot : slot_state option array ref = ref [||] in
+  let visit : slot_state array ref = ref [||] in
+  let revisit () =
+    visit :=
+      Array.of_list (List.rev (Hashtbl.fold (fun _ s acc -> s :: acc) slots []))
+  in
+  let slot_of (w : Engine.wctx) =
+    if w.Engine.tb_slot < Array.length !by_slot then !by_slot.(w.Engine.tb_slot)
+    else None
+  in
   let full_mask = (1 lsl cfg.Config.warp_size) - 1 in
   (* Steadiness tracking for the fast-forward path: [state_mutated] is
      cleared at the top of every [cycle_skip] and set by any change to
@@ -151,238 +188,255 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       Skip_table.recheck slot.skip ~majority:(effective_majority slot)
     end
   in
+  let releases = ref 0 in
   (* Branch-synchronization release: the majority of arrived warps picks
-     the continuation path; warps headed elsewhere leave the majority. *)
+     the continuation path (most votes, ties to the lowest successor PC);
+     warps headed elsewhere leave the majority. *)
   let release_sync slot entry =
     mutated ();
-    let votes = Hashtbl.create 4 in
-    Array.iter
-      (fun (w : Engine.wctx) ->
-        let b = 1 lsl w.Engine.warp_in_tb in
-        if entry.arrived land b <> 0 then begin
-          let s = successor_of w in
-          Hashtbl.replace votes s
-            (1 + Option.value ~default:0 (Hashtbl.find_opt votes s))
-        end)
-      slot.warps;
-    let winner =
-      Hashtbl.fold
-        (fun succ n best ->
-          match best with
-          | Some (_, bn) when bn > n -> best
-          | Some (bs, bn) when bn = n && bs <= succ -> best
-          | _ -> Some (succ, n))
-        votes None
+    incr releases;
+    let arrived (w : Engine.wctx) =
+      entry.arrived land (1 lsl w.Engine.warp_in_tb) <> 0
     in
-    (match winner with
-    | Some (succ, _) ->
+    let nw = Array.length slot.warps in
+    let votes succ =
+      let n = ref 0 in
+      for k = 0 to nw - 1 do
+        let w = slot.warps.(k) in
+        if arrived w && successor_of w = succ then incr n
+      done;
+      !n
+    in
+    let best = ref 0 and best_n = ref 0 in
+    for k = 0 to nw - 1 do
+      let w = slot.warps.(k) in
+      if arrived w then begin
+        let succ = successor_of w in
+        let n = votes succ in
+        if n > !best_n || (n = !best_n && succ < !best) then begin
+          best := succ;
+          best_n := n
+        end
+      end
+    done;
+    if !best_n > 0 then
       Array.iter
         (fun (w : Engine.wctx) ->
-          let b = 1 lsl w.Engine.warp_in_tb in
-          if entry.arrived land b <> 0 && successor_of w <> succ then
+          if arrived w && successor_of w <> !best then
             drop_from_majority ~reason:2 slot w)
-        slot.warps
-    | None -> ());
+        slot.warps;
     entry.released <- true
   in
-  (* Process one warp's pre-fetch window; returns nothing, sets fetch_ok. *)
-  let probed = Hashtbl.create 8 in
+  (* Release the branch syncs that completed since the slot's last scan
+     (the majority shrank under them), in [syncs] order. *)
+  let scan_syncs slot =
+    if effective_majority slot <> slot.scanned_em then begin
+      let before = !releases in
+      Hashtbl.iter
+        (fun _ e ->
+          if (not e.released)
+             && e.arrived land effective_majority slot = effective_majority slot
+             && e.arrived <> 0
+          then release_sync slot e)
+        slot.syncs;
+      slot.scanned_em <-
+        (if !releases = before then effective_majority slot else -1)
+    end
+  in
+  (* The PC coalescer's ports this cycle: a PC is probed when its stamp
+     equals [probe_gen], which [cycle_skip] advances. *)
+  let probed = Array.make ninsts (-1) in
+  let probe_gen = ref 0 in
+  let n_probed = ref 0 in
   (* Park telemetry funnels through here so [bulk_skip]'s representative
      run can log which PCs park and replay them over the scaled span. *)
   let record_parks = ref false in
-  let park_log : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let park_log = Array.make ninsts 0 in
   let note_park idx =
     Skip_table.Telemetry.note_park telemetry ~pc:idx;
-    if !record_parks then
-      Hashtbl.replace park_log idx
-        (1 + Option.value ~default:0 (Hashtbl.find_opt park_log idx))
+    if !record_parks then park_log.(idx) <- park_log.(idx) + 1
   in
-  let process_warp slot (w : Engine.wctx) =
-    let rec go chain =
-      if Engine.warp_done w then set_ok w true
-      else begin
-        let op = w.Engine.trace.(w.Engine.fi) in
-        let idx = op.Record.idx in
-        let win = w.Engine.warp_in_tb in
-        if kinfo.Kinfo.is_barrier.(idx) then set_ok w true
-        else if
-          op.Record.active land full_mask <> full_mask
-          && Majority.on_path slot.majority win
-          && not (Engine.warp_done w)
-        then begin
-          (* Intra-warp SIMD divergence: leave the majority path (§4.5). *)
-          drop_from_majority ~reason:1 slot w;
+  (* Instructions the pre-fetch window ignores unless the warp drops off
+     the majority path at them: not a barrier, branch or skippable PC. *)
+  let plain =
+    Array.init ninsts (fun i ->
+        not
+          (kinfo.Kinfo.is_barrier.(i) || kinfo.Kinfo.is_branch.(i)
+         || kinfo.Kinfo.tb_redundant.(i)))
+  in
+  (* Process one warp's pre-fetch window and set its fetch gate; [chain]
+     counts the skips this warp already made this cycle. *)
+  let rec process_warp slot (w : Engine.wctx) chain =
+    if warp_done w then set_ok w true
+    else begin
+      let op = w.Engine.trace.(w.Engine.fi) in
+      let idx = op.Record.idx in
+      let win = w.Engine.warp_in_tb in
+      if plain.(idx) && op.Record.active land full_mask = full_mask then
+        set_ok w true
+      else if kinfo.Kinfo.is_barrier.(idx) then set_ok w true
+      else if
+        op.Record.active land full_mask <> full_mask
+        && Majority.on_path slot.majority win
+        && not (warp_done w)
+      then begin
+        (* Intra-warp SIMD divergence: leave the majority path (§4.5). *)
+        drop_from_majority ~reason:1 slot w;
+        set_ok w true
+      end
+      else if not (Majority.on_path slot.majority win) then set_ok w true
+      else if kinfo.Kinfo.is_branch.(idx) then begin
+        let occ = op.Record.occ in
+        let entry =
+          match find_sync occ slot.sync_at.(idx) with
+          | e when e != no_sync -> e
+          | _ ->
+            mutated ();
+            let e =
+              { sync_occ = occ; arrived = 0; released = false;
+                first_succ = successor_of w }
+            in
+            Hashtbl.add slot.syncs (idx, occ) e;
+            slot.sync_at.(idx) <- e :: slot.sync_at.(idx);
+            e
+        in
+        if options.no_cf_sync then begin
+          (* Idealized: no stall; deviation from the first arrival's
+             path drops the warp from the majority. *)
+          if successor_of w <> entry.first_succ then
+            drop_from_majority ~reason:2 slot w;
           set_ok w true
         end
-        else if not (Majority.on_path slot.majority win) then set_ok w true
-        else if kinfo.Kinfo.is_branch.(idx) then begin
-          let key = (idx, op.Record.occ) in
-          let entry =
-            match Hashtbl.find_opt slot.syncs key with
-            | Some e -> e
-            | None ->
-              mutated ();
-              let e =
-                { arrived = 0; released = false; first_succ = successor_of w }
-              in
-              Hashtbl.add slot.syncs key e;
-              e
-          in
-          if options.no_cf_sync then begin
-            (* Idealized: no stall; deviation from the first arrival's
-               path drops the warp from the majority. *)
-            if successor_of w <> entry.first_succ then
-              drop_from_majority ~reason:2 slot w;
+        else if entry.released then set_ok w true
+        else begin
+          let arrived' = entry.arrived lor (1 lsl win) in
+          if arrived' <> entry.arrived then begin
+            mutated ();
+            entry.arrived <- arrived'
+          end;
+          let em = effective_majority slot in
+          if entry.arrived land em = em then begin
+            release_sync slot entry;
             set_ok w true
           end
-          else if entry.released then set_ok w true
           else begin
-            let arrived' = entry.arrived lor (1 lsl win) in
-            if arrived' <> entry.arrived then begin
-              mutated ();
-              entry.arrived <- arrived'
-            end;
-            if entry.arrived land effective_majority slot
-               = effective_majority slot
-            then begin
-              release_sync slot entry;
-              set_ok w true
-            end
-            else begin
-              stats.Stats.darsie_sync_stalls <-
-                stats.Stats.darsie_sync_stalls + 1;
-              set_ok w false
-            end
+            stats.Stats.darsie_sync_stalls <- stats.Stats.darsie_sync_stalls + 1;
+            set_ok w false
           end
         end
-        else if kinfo.Kinfo.tb_redundant.(idx) then begin
-          (* PC coalescer: a bounded number of distinct skip PCs are
-             serviced per cycle; chained skips ride the +8 adders, and
-             warps already parked in an entry's waiting bitmask are woken
-             for free. *)
-          let is_parked = w.Engine.parked_at = w.Engine.fi in
-          let port_ok =
-            chain > 0 || is_parked || Hashtbl.mem probed idx
-            || Hashtbl.length probed < cfg.Config.coalescer_ports
-          in
-          if not port_ok then set_ok w false
-          else begin
-            if (not is_parked) && not (Hashtbl.mem probed idx) then begin
-              Hashtbl.replace probed idx ();
-              stats.Stats.coalescer_probes <- stats.Stats.coalescer_probes + 1
-            end;
-            if not is_parked then
-              stats.Stats.skip_table_probes <- stats.Stats.skip_table_probes + 1;
-            match Skip_table.find slot.skip ~pc:idx ~occ:op.Record.occ with
-            | Some inst when inst.Skip_table.leader = win ->
-              (* The leader executes its own instruction. *)
+      end
+      else if kinfo.Kinfo.tb_redundant.(idx) then begin
+        (* PC coalescer: a bounded number of distinct skip PCs are
+           serviced per cycle; chained skips ride the +8 adders, and
+           warps already parked in an entry's waiting bitmask are woken
+           for free. *)
+        let is_parked = w.Engine.parked_at = w.Engine.fi in
+        let was_probed = probed.(idx) = !probe_gen in
+        let port_ok =
+          chain > 0 || is_parked || was_probed
+          || !n_probed < cfg.Config.coalescer_ports
+        in
+        if not port_ok then set_ok w false
+        else begin
+          if (not is_parked) && not was_probed then begin
+            probed.(idx) <- !probe_gen;
+            incr n_probed;
+            stats.Stats.coalescer_probes <- stats.Stats.coalescer_probes + 1
+          end;
+          if not is_parked then
+            stats.Stats.skip_table_probes <- stats.Stats.skip_table_probes + 1;
+          let inst = Skip_table.probe slot.skip ~pc:idx ~occ:op.Record.occ in
+          if inst == Skip_table.absent then begin
+            if not (Skip_table.has_entry_slot slot.skip ~pc:idx) then begin
+              (* Table full: execute normally, no skipping. *)
               unpark w;
               set_ok w true
-            | Some inst when inst.Skip_table.leader_wb || options.no_cf_sync ->
-              (* Follower skip: PC += 8, remap the register version. The
-                 occurrence's ledger fate is decided here: a warp that had
-                 parked for LeaderWB resolves as parked-then-skipped, an
-                 immediate hit as a plain skip. Skips always mutate state,
-                 so this site is never replayed by a fast-forwarded span. *)
-              mutated ();
-              note_fate idx
-                (if is_parked then Darsie_obs.Ledger.Parked_waiting_leaderwb
-                 else Darsie_obs.Ledger.Skipped);
-              unpark w;
-              w.Engine.gave_up_at <- -1;
-              w.Engine.fi <- w.Engine.fi + 1;
-              stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
-              stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
-              elim_shape idx;
-              Skip_table.mark_passed slot.skip ~pc:idx ~occ:op.Record.occ
-                ~warp:win ~majority:(effective_majority slot);
-              clear_stall w;
-              if chain + 1 < cfg.Config.max_skips_per_warp_cycle then
-                go (chain + 1)
-              else set_ok w false
-            | Some _ ->
-              (* Follower parks in the warps-waiting bitmask until
-                 LeaderWB (§4.3.2, field 5). *)
-              park w;
-              note_park idx;
-              stats.Stats.darsie_sync_stalls <-
-                stats.Stats.darsie_sync_stalls + 1;
-              set_ok w false
-            | None ->
-              if not (Skip_table.has_entry_slot slot.skip ~pc:idx) then begin
-                (* Table full: execute normally, no skipping. *)
-                unpark w;
-                set_ok w true
-              end
-              else if not (Skip_table.has_free_reg slot.skip) then begin
-                (* Freelist empty: synchronize until a version frees; a
-                   bounded fallback keeps forward progress. *)
-                if options.no_cf_sync then set_ok w true
-                else if bump_stall w > 64 then begin
-                  clear_stall w;
-                  unpark w;
-                  (* Bounded wait exhausted: the warp executes this
-                     occurrence itself; remember why for the ledger. *)
-                  w.Engine.gave_up_at <- w.Engine.fi;
-                  set_ok w true
-                end
-                else begin
-                  park w;
-                  stats.Stats.darsie_sync_stalls <-
-                    stats.Stats.darsie_sync_stalls + 1;
-                  set_ok w false
-                end
-              end
-              else begin
-                mutated ();
-                Skip_table.allocate slot.skip ~pc:idx ~occ:op.Record.occ
-                  ~leader:win ~mem_dep:kinfo.Kinfo.mem_dep.(idx);
-                stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
+            end
+            else if not (Skip_table.has_free_reg slot.skip) then begin
+              (* Freelist empty: synchronize until a version frees; a
+                 bounded fallback keeps forward progress. *)
+              if options.no_cf_sync then set_ok w true
+              else if bump_stall w > 64 then begin
                 clear_stall w;
                 unpark w;
-                w.Engine.gave_up_at <- -1;
+                (* Bounded wait exhausted: the warp executes this
+                   occurrence itself; remember why for the ledger. *)
+                w.Engine.gave_up_at <- w.Engine.fi;
                 set_ok w true
               end
+              else begin
+                park w;
+                stats.Stats.darsie_sync_stalls <-
+                  stats.Stats.darsie_sync_stalls + 1;
+                set_ok w false
+              end
+            end
+            else begin
+              mutated ();
+              Skip_table.allocate slot.skip ~pc:idx ~occ:op.Record.occ
+                ~leader:win ~mem_dep:kinfo.Kinfo.mem_dep.(idx);
+              stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
+              clear_stall w;
+              unpark w;
+              w.Engine.gave_up_at <- -1;
+              set_ok w true
+            end
+          end
+          else if inst.Skip_table.leader = win then begin
+            (* The leader executes its own instruction. *)
+            unpark w;
+            set_ok w true
+          end
+          else if inst.Skip_table.leader_wb || options.no_cf_sync then begin
+            (* Follower skip: PC += 8, remap the register version. The
+               occurrence's ledger fate is decided here: a warp that had
+               parked for LeaderWB resolves as parked-then-skipped, an
+               immediate hit as a plain skip. Skips always mutate state,
+               so this site is never replayed by a fast-forwarded span. *)
+            mutated ();
+            note_fate idx
+              (if is_parked then Darsie_obs.Ledger.Parked_waiting_leaderwb
+               else Darsie_obs.Ledger.Skipped);
+            unpark w;
+            w.Engine.gave_up_at <- -1;
+            w.Engine.fi <- w.Engine.fi + 1;
+            stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
+            stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
+            elim_shape idx;
+            Skip_table.mark_passed slot.skip ~pc:idx ~occ:op.Record.occ
+              ~warp:win ~majority:(effective_majority slot);
+            clear_stall w;
+            if chain + 1 < cfg.Config.max_skips_per_warp_cycle then
+              process_warp slot w (chain + 1)
+            else set_ok w false
+          end
+          else begin
+            (* Follower parks in the warps-waiting bitmask until
+               LeaderWB (§4.3.2, field 5). *)
+            park w;
+            note_park idx;
+            stats.Stats.darsie_sync_stalls <- stats.Stats.darsie_sync_stalls + 1;
+            set_ok w false
           end
         end
-        else set_ok w true
       end
-    in
-    go 0
+      else set_ok w true
+    end
   in
-  (* The stat counters the skip phase can move. They are all monotone,
-     so a frozen sum ([last_skip_quiet]) means every one was frozen.
-     [bulk_skip] snapshots and scales each component individually when a
-     steady span is jumped. *)
-  let stat_mark () =
-    stats.Stats.darsie_sync_stalls + stats.Stats.skipped_prefetch
-    + stats.Stats.rename_accesses + stats.Stats.coalescer_probes
-    + stats.Stats.skip_table_probes + stats.Stats.majority_updates
-    + stats.Stats.elim_uniform + stats.Stats.elim_affine
-    + stats.Stats.elim_unstructured
-  in
-  let last_skip_quiet = ref false in
   let last_skip_steady = ref false in
   let cycle_skip ~cycle =
     Skip_table.Telemetry.set_now telemetry cycle;
-    let mark0 = stat_mark () in
     state_mutated := false;
-    Hashtbl.reset probed;
-    Hashtbl.iter
-      (fun _ slot ->
-        (* Release branch syncs that completed since last cycle (e.g. the
-           majority shrank). *)
-        Hashtbl.iter
-          (fun _ e ->
-            if (not e.released)
-               && e.arrived land effective_majority slot
-                  = effective_majority slot
-               && e.arrived <> 0
-            then release_sync slot e)
-          slot.syncs;
-        Array.iter (process_warp slot) slot.warps)
-      slots;
-    last_skip_quiet := stat_mark () = mark0;
+    incr probe_gen;
+    n_probed := 0;
+    let v = !visit in
+    for s = 0 to Array.length v - 1 do
+      let slot = v.(s) in
+      scan_syncs slot;
+      for k = 0 to Array.length slot.warps - 1 do
+        process_warp slot slot.warps.(k) 0
+      done
+    done;
     last_skip_steady := not !state_mutated
   in
   (* Charge [n] skipped skip-phase executions in one call. Sound only
@@ -403,7 +457,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       and eu0 = stats.Stats.elim_uniform
       and ea0 = stats.Stats.elim_affine
       and eun0 = stats.Stats.elim_unstructured in
-      Hashtbl.reset park_log;
       record_parks := true;
       cycle_skip ~cycle;
       record_parks := false;
@@ -435,43 +488,47 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
           stats.Stats.elim_affine + ((stats.Stats.elim_affine - ea0) * k);
         stats.Stats.elim_unstructured <-
           stats.Stats.elim_unstructured
-          + ((stats.Stats.elim_unstructured - eun0) * k);
-        Hashtbl.iter
-          (fun pc c ->
-            Skip_table.Telemetry.note_parks telemetry ~pc ~n:(c * k))
-          park_log
-      end
+          + ((stats.Stats.elim_unstructured - eun0) * k)
+      end;
+      for pc = 0 to ninsts - 1 do
+        let c = park_log.(pc) in
+        if c > 0 then begin
+          if k > 0 then
+            Skip_table.Telemetry.note_parks telemetry ~pc ~n:(c * k);
+          park_log.(pc) <- 0
+        end
+      done
     end
   in
   let can_fetch (w : Engine.wctx) = w.Engine.fetch_ok in
   (* A fetch-bundle follower slot advanced [fi] past the instruction the
      skip phase gated on, so [fetch_ok] is stale; re-run the single-warp
      pre-fetch window at the new cursor. This shares the cycle's
-     [probed] port table (a follower consult competes for the same
+     coalescer ports (a follower consult competes for the same
      PC-coalescer ports) and mutates exactly like the skip phase —
      register a sync arrival, park, or chain skips. Any mutation it
      makes follows a real fetch this cycle, and a fetch already forces
      the SM to step normally ([skip_reads_warp_state]), so the
      fast-forward steadiness snapshot is never trusted after it. *)
   let recheck_fetch (w : Engine.wctx) =
-    (match Hashtbl.find_opt slots w.Engine.tb_slot with
-    | Some slot -> process_warp slot w
+    (match slot_of w with
+    | Some slot -> process_warp slot w 0
     | None -> set_ok w true);
     w.Engine.fetch_ok
   in
   let on_issue ~cycle:_ (w : Engine.wctx) (op : Record.op) =
-    (match Hashtbl.find_opt slots w.Engine.tb_slot with
+    (match slot_of w with
     | None -> ()
     | Some slot ->
       if kinfo.Kinfo.is_barrier.(op.Record.idx) then begin
         slot.bar_arrived <- slot.bar_arrived lor (1 lsl w.Engine.warp_in_tb);
-        let expected =
-          Array.fold_left
-            (fun acc (x : Engine.wctx) ->
-              if warp_drained x && x.Engine.wid <> w.Engine.wid then acc
-              else acc lor (1 lsl x.Engine.warp_in_tb))
-            0 slot.warps
-        in
+        let expected = ref 0 in
+        for k = 0 to Array.length slot.warps - 1 do
+          let x = slot.warps.(k) in
+          if not (Engine.warp_drained x && x.Engine.wid <> w.Engine.wid) then
+            expected := !expected lor (1 lsl x.Engine.warp_in_tb)
+        done;
+        let expected = !expected in
         if slot.bar_arrived land expected = expected then begin
           (* All warps synchronized: majority bits set back to one and the
              pre-barrier skip state retired (§4.3.3). Every warp is back
@@ -481,7 +538,11 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             (fun (x : Engine.wctx) -> x.Engine.drop_reason <- 0)
             slot.warps;
           Skip_table.flush_all slot.skip;
-          Hashtbl.reset slot.syncs;
+          if Hashtbl.length slot.syncs > 0 then begin
+            Hashtbl.reset slot.syncs;
+            Array.fill slot.sync_at 0 ninsts []
+          end;
+          slot.scanned_em <- -1;
           slot.bar_arrived <- 0
         end
       end);
@@ -489,7 +550,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   in
   let on_writeback ~cycle:_ (w : Engine.wctx) (op : Record.op) =
     if kinfo.Kinfo.tb_redundant.(op.Record.idx) then
-      match Hashtbl.find_opt slots w.Engine.tb_slot with
+      match slot_of w with
       | None -> ()
       | Some slot ->
         Skip_table.mark_writeback slot.skip ~pc:op.Record.idx
@@ -497,7 +558,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   in
   let on_store ~atomic (w : Engine.wctx) =
     if not options.ignore_store then
-      match Hashtbl.find_opt slots w.Engine.tb_slot with
+      match slot_of w with
       | None -> ()
       | Some slot ->
         Skip_table.flush_loads slot.skip
@@ -511,7 +572,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      remains executed because the 8-entry table was exhausted. *)
   let exec_fate (w : Engine.wctx) (op : Record.op) =
     let idx = op.Record.idx in
-    match Hashtbl.find_opt slots w.Engine.tb_slot with
+    match slot_of w with
     | None -> Darsie_obs.Ledger.Skip_disabled
     | Some slot -> (
       let win = w.Engine.warp_in_tb in
@@ -527,19 +588,19 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
           Darsie_obs.Ledger.Leader_executed
         | Some (`Store, _) -> Darsie_obs.Ledger.Flushed_store
         | Some (`Atomic, _) -> Darsie_obs.Ledger.Flushed_atomic
-        | None -> (
+        | None ->
           if w.Engine.gave_up_at = w.Engine.fi then begin
             w.Engine.gave_up_at <- -1;
             Darsie_obs.Ledger.Freelist_stall
           end
-          else
-            match Skip_table.find slot.skip ~pc:idx ~occ:op.Record.occ with
-            | Some inst when inst.Skip_table.leader = win ->
-              Darsie_obs.Ledger.Leader_executed
-            | Some _ | None -> Darsie_obs.Ledger.Evicted_capacity))
+          else if
+            (Skip_table.probe slot.skip ~pc:idx ~occ:op.Record.occ).Skip_table.leader
+            = win
+          then Darsie_obs.Ledger.Leader_executed
+          else Darsie_obs.Ledger.Evicted_capacity)
   in
   let on_tb_launch ~tb_slot ~warps =
-    Hashtbl.replace slots tb_slot
+    let slot =
       {
         skip =
           (let t =
@@ -550,11 +611,26 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
            t);
         majority = Majority.create ~warps:(Array.length warps);
         syncs = Hashtbl.create 64;
+        sync_at = Array.make ninsts [];
+        scanned_em = -1;
         warps;
         bar_arrived = 0;
       }
+    in
+    Hashtbl.replace slots tb_slot slot;
+    if tb_slot >= Array.length !by_slot then begin
+      let bigger = Array.make (tb_slot + 1) None in
+      Array.blit !by_slot 0 bigger 0 (Array.length !by_slot);
+      by_slot := bigger
+    end;
+    !by_slot.(tb_slot) <- Some slot;
+    revisit ()
   in
-  let on_tb_finish ~tb_slot = Hashtbl.remove slots tb_slot in
+  let on_tb_finish ~tb_slot =
+    Hashtbl.remove slots tb_slot;
+    if tb_slot < Array.length !by_slot then !by_slot.(tb_slot) <- None;
+    revisit ()
+  in
   let debug_state () =
     Hashtbl.fold
       (fun _ slot (entries, insts, parked_w, syncs) ->
@@ -580,7 +656,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   {
     Engine.name = name_of options;
     cycle_skip;
-    quiescent = (fun () -> !last_skip_quiet);
     skip_reads_warp_state = true;
     skip_steady = (fun () -> !last_skip_steady);
     bulk_skip;

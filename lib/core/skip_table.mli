@@ -57,6 +57,14 @@ val attach_telemetry : t -> Telemetry.t -> unit
 
 val find : t -> pc:int -> occ:int -> instance option
 
+val probe : t -> pc:int -> occ:int -> instance
+(** {!find} without the option: the live instance, or {!absent}. The
+    skip phase's per-cycle lookups use this so they allocate nothing. *)
+
+val absent : instance
+(** The placeholder {!probe} returns when no instance is live; compare
+    with [==]. *)
+
 val can_allocate : t -> pc:int -> bool
 (** True when a new instance at [pc] could be created: the PC already has
     an entry or a table slot is free, and the freelist is non-empty. *)

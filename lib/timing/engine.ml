@@ -5,7 +5,12 @@ type wctx = {
   warp_in_tb : int;
   trace : Darsie_trace.Record.op array;
   mutable fi : int;
-  ibuf : (Darsie_trace.Record.op * int) Queue.t;
+  (* I-buffer ring: [ib_len] entries from [ib_head], each the trace index
+     of a fetched op and the cycle it was fetched in. *)
+  ib_fi : int array;
+  ib_cycle : int array;
+  mutable ib_head : int;
+  mutable ib_len : int;
   pending : int array;
   mutable pending_count : int;
   mutable at_barrier : bool;
@@ -30,24 +35,33 @@ type wctx = {
 
 let warp_done w = w.fi >= Array.length w.trace
 
-let next_op w = if warp_done w then None else Some w.trace.(w.fi)
+let ibuf_push w ~cycle =
+  let cap = Array.length w.ib_fi in
+  let slot = (w.ib_head + w.ib_len) mod cap in
+  w.ib_fi.(slot) <- w.fi;
+  w.ib_cycle.(slot) <- cycle;
+  w.ib_len <- w.ib_len + 1
+
+let ibuf_pop w =
+  w.ib_head <- (w.ib_head + 1) mod Array.length w.ib_fi;
+  w.ib_len <- w.ib_len - 1
+
+let warp_drained w = warp_done w && w.ib_len = 0
 
 type issue_decision = Execute | Drop
 
 type t = {
   name : string;
   cycle_skip : cycle:int -> unit;
-  quiescent : unit -> bool;
   (* True when [cycle_skip] inspects warp state (trace cursors, parked
      sets). The SM's fetch phase runs after [cycle_skip], so for such
-     engines a fetch invalidates the [quiescent] snapshot and the SM
+     engines a fetch invalidates the [skip_steady] snapshot and the SM
      must step one more cycle before fast-forwarding. *)
   skip_reads_warp_state : bool;
   (* True when the most recent [cycle_skip] mutated no engine or warp
      state — it only accumulated per-cycle statistics. Such a skip phase
      repeats identically while the SM is frozen, which licenses
-     fast-forwarding even when it is not quiescent: [bulk_skip] charges
-     the skipped span. *)
+     fast-forwarding: [bulk_skip] charges the skipped span. *)
   skip_steady : unit -> bool;
   (* Charge [n] skipped skip-phase executions at [cycle] in one call;
      only invoked when [skip_steady ()] held. Engines with per-cycle
@@ -79,7 +93,6 @@ let base () =
   {
     name = "BASE";
     cycle_skip = (fun ~cycle:_ -> ());
-    quiescent = (fun () -> true);
     skip_reads_warp_state = false;
     skip_steady = (fun () -> true);
     bulk_skip = (fun ~cycle:_ ~n:_ -> ());

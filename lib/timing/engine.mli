@@ -24,8 +24,14 @@ type wctx = {
   warp_in_tb : int;
   trace : Darsie_trace.Record.op array;
   mutable fi : int;  (** next trace index to fetch *)
-  ibuf : (Darsie_trace.Record.op * int) Queue.t;
-      (** fetched (op, fetch_cycle) pairs awaiting issue *)
+  ib_fi : int array;
+      (** I-buffer ring storage: trace index of each fetched op awaiting
+          issue. Its length is the ring capacity ([Config.ibuf_depth]);
+          the oldest entry is at [ib_head]. Changed only through
+          {!ibuf_push} and {!ibuf_pop} *)
+  ib_cycle : int array;  (** fetch cycle of each ring entry *)
+  mutable ib_head : int;  (** ring position of the oldest entry *)
+  mutable ib_len : int;  (** I-buffer occupancy *)
   pending : int array;  (** scoreboard: outstanding writes per vreg *)
   mutable pending_count : int;
   mutable at_barrier : bool;
@@ -67,7 +73,15 @@ type wctx = {
 val warp_done : wctx -> bool
 (** Trace exhausted and nothing left in flight for fetch purposes. *)
 
-val next_op : wctx -> Darsie_trace.Record.op option
+val warp_drained : wctx -> bool
+(** Trace exhausted and I-buffer empty: the warp has issued everything. *)
+
+val ibuf_push : wctx -> cycle:int -> unit
+(** Append the op at the trace cursor [fi], fetched at [cycle], to the
+    I-buffer. The caller keeps [ib_len] below the ring capacity. *)
+
+val ibuf_pop : wctx -> unit
+(** Drop the oldest buffered op. *)
 
 type issue_decision = Execute | Drop
 
@@ -75,28 +89,20 @@ type t = {
   name : string;
   cycle_skip : cycle:int -> unit;
       (** called once per SM cycle, before fetch *)
-  quiescent : unit -> bool;
-      (** true when the most recent [cycle_skip] was a no-op (no stat
-          deltas, no warp state changes) {e and} would stay one while the
-          rest of the SM is frozen — the license the fast-forward path
-          needs to skip calling [cycle_skip] for a jumped-over span.
-          Engines whose skip phase does per-cycle work while warps are
-          stalled (DARSIE probe/park accounting) must return [false] on
-          such cycles; stateless engines always return [true] *)
   skip_reads_warp_state : bool;
       (** true when [cycle_skip] inspects warp state (trace cursors,
           parked sets). The fetch phase runs after [cycle_skip], so for
-          such engines a fetch this cycle invalidates the [quiescent]
-          and [skip_steady] snapshots: the SM steps one more cycle
-          before fast-forwarding. Stateless skip phases leave this
-          [false] *)
+          such engines a fetch this cycle invalidates the [skip_steady]
+          snapshot: the SM steps one more cycle before fast-forwarding.
+          Stateless skip phases leave this [false] *)
   skip_steady : unit -> bool;
       (** true when the most recent [cycle_skip] mutated no engine or
           warp state — at most it accumulated per-cycle statistics
           (DARSIE's probe, park and sync-stall counters). A steady skip
           phase is a deterministic function of frozen state, so it
-          repeats identically across a jumped span; this — not
-          [quiescent] — is the license the fast-forward path gates on.
+          repeats identically across a jumped span; this is the license
+          the fast-forward path gates on (a phase that moved no counter
+          can still have mutated state, e.g. released a branch sync).
           Stateless engines return [true] *)
   bulk_skip : cycle:int -> n:int -> unit;
       (** charge [n] skipped executions of the skip phase ending at
@@ -108,7 +114,7 @@ type t = {
       (** the SM clock jumped: the span up to and including [cycle]
           was skipped without calling [cycle_skip]. Engines tracking the
           current cycle (DARSIE's skip-table telemetry clock) resync
-          here; called only when [quiescent ()] held *)
+          here; called after every jump, following {!bulk_skip} *)
   can_fetch : wctx -> bool;
   recheck_fetch : wctx -> bool;
       (** re-evaluate the fetch gate for [w] at its {e current} cursor.

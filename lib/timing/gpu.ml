@@ -107,6 +107,9 @@ let assemble ~cycles ~sample_interval ~pcstat ~tbs_per_sm (kernel : Kernel.t)
     per_sm_ledger;
   }
 
+let rec any_busy sms i =
+  i < Array.length sms && (Sm.busy sms.(i) || any_busy sms (i + 1))
+
 let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
     factory (kinfo : Kinfo.t) (trace : Record.t) =
   let kernel = kinfo.Kinfo.kernel in
@@ -147,17 +150,17 @@ let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
       sms
   in
   let dispatch () =
-    Array.iteri
-      (fun i sm ->
-        while !next_tb < ntbs && Sm.can_accept sm do
-          (* A lagging SM must be on the global clock before warps are
-             installed, and has fetchable work from the next cycle on. *)
-          if Sm.cycle sm < !cycles then Sm.fast_forward sm ~to_:!cycles;
-          wakes.(i) <- !cycles + 1;
-          Sm.launch_tb sm ~tb_id:!next_tb ~traces:trace.Record.tbs.(!next_tb);
-          incr next_tb
-        done)
-      sms
+    for i = 0 to Array.length sms - 1 do
+      let sm = sms.(i) in
+      while !next_tb < ntbs && Sm.can_accept sm do
+        (* A lagging SM must be on the global clock before warps are
+           installed, and has fetchable work from the next cycle on. *)
+        if Sm.cycle sm < !cycles then Sm.fast_forward sm ~to_:!cycles;
+        wakes.(i) <- !cycles + 1;
+        Sm.launch_tb sm ~tb_id:!next_tb ~traces:trace.Record.tbs.(!next_tb);
+        incr next_tb
+      done
+    done
   in
   let diag ~at () =
     catch_up at;
@@ -240,10 +243,8 @@ let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
                })
     | _ -> ()
   in
-  let ff_steps = ref 0 and ff_skipped = ref 0 in
-  let ff_debug = Sys.getenv_opt "DARSIE_FF_DEBUG" <> None in
   dispatch ();
-  while !error = None && (Array.exists Sm.busy sms || !next_tb < ntbs) do
+  while !error = None && (any_busy sms 0 || !next_tb < ntbs) do
     (* Event-driven fast-forward: each SM is stepped only at cycles on
        its wake-up calendar; in between, its clock lags and is caught up
        with one bulk charge ({!Sm.fast_forward}) right before its next
@@ -255,12 +256,14 @@ let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
        cycle they would have when stepping. [wake = max_int] everywhere
        (deadlock) keeps stepping so the watchdog sees it. *)
     if cfg.Config.fast_forward then begin
-      let wake = Array.fold_left min max_int wakes in
-      let wake =
-        match Mem_model.Dram.next_event dram ~now:!cycles with
-        | Some c -> min wake c
-        | None -> wake
-      in
+      let wake = ref max_int in
+      for i = 0 to Array.length wakes - 1 do
+        if wakes.(i) < !wake then wake := wakes.(i)
+      done;
+      (* the DRAM queue draining is an event too *)
+      let busy_until = Mem_model.Dram.busy_until dram in
+      if busy_until > !cycles && busy_until < !wake then wake := busy_until;
+      let wake = !wake in
       if wake < max_int && wake > !cycles + 1 then begin
         let target = min (wake - 1) cfg.Config.max_cycles in
         let target =
@@ -302,19 +305,15 @@ let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
                })
       else begin
         if cfg.Config.fast_forward then
-          Array.iteri
-            (fun i sm ->
-              if wakes.(i) <= !cycles then begin
-                if Sm.cycle sm < !cycles - 1 then begin
-                  if ff_debug then
-                    ff_skipped := !ff_skipped + (!cycles - 1 - Sm.cycle sm);
-                  Sm.fast_forward sm ~to_:(!cycles - 1)
-                end;
-                if ff_debug then incr ff_steps;
-                Sm.step sm;
-                wakes.(i) <- Sm.next_event_cycle sm
-              end)
-            sms
+          for i = 0 to Array.length sms - 1 do
+            let sm = sms.(i) in
+            if wakes.(i) <= !cycles then begin
+              if Sm.cycle sm < !cycles - 1 then
+                Sm.fast_forward sm ~to_:(!cycles - 1);
+              Sm.step sm;
+              wakes.(i) <- Sm.next_event_cycle sm
+            end
+          done
         else Array.iter Sm.step sms;
         dispatch ();
         check_watchdog 1;
@@ -338,21 +337,7 @@ let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
   if !tel_arms > 0 then Tel.incr ~by:!tel_arms "watchdog.arms";
   (* Lagging SMs charge their tail idle span up to the final cycle so the
      attribution invariant (bucket total = cycles on every SM) holds. *)
-  if cfg.Config.fast_forward then begin
-    if ff_debug then
-      Array.iter
-        (fun sm ->
-          if Sm.cycle sm < !cycles then
-            ff_skipped := !ff_skipped + (!cycles - Sm.cycle sm))
-        sms;
-    catch_up !cycles
-  end;
-  if ff_debug then
-    Printf.eprintf "[ff] cycles=%d sm_steps=%d skipped_sm_cycles=%d (%.1f%%)\n%!"
-      !cycles !ff_steps !ff_skipped
-      (let total = !cycles * Array.length sms in
-       if total = 0 then 0.0
-       else 100.0 *. float_of_int !ff_skipped /. float_of_int total);
+  if cfg.Config.fast_forward then catch_up !cycles;
   match !error with
   | Some e -> Stdlib.Error e
   | None ->

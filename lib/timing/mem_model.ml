@@ -1,54 +1,106 @@
-(* Int-keyed hash tables for the per-access hot paths; same hash as the
-   polymorphic default (so bucket layouts — and thus any iteration
-   order — are unchanged), but with monomorphic key equality. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) (b : int) = a = b
-
-  let hash = Hashtbl.hash
-end)
-
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: ys -> y = x || mem_int x ys
-
-let coalesce ~line_bytes accesses =
-  let seen = Int_tbl.create 32 in
-  let lines = ref [] in
-  Array.iter
-    (fun addr ->
-      let line = addr - (addr mod line_bytes) in
-      if not (Int_tbl.mem seen line) then begin
-        Int_tbl.add seen line ();
-        lines := line :: !lines
-      end)
-    accesses;
-  List.rev !lines
-
-let shared_conflicts ~banks accesses =
-  if Array.length accesses = 0 then 0
+(* [x / m] and [x mod m] for a divisor fixed per machine. The default
+   machine's divisors are powers of two; [shift_of m] is then log2 m,
+   and non-negative operands take a shift and a mask, which agree with
+   the division there. Anything else divides. *)
+let shift_of m =
+  if m <= 0 || m land (m - 1) <> 0 then -1
   else begin
-    (* bank = word address mod banks; distinct words on the same bank
-       serialize, identical words broadcast *)
-    let per_bank = Int_tbl.create 64 in
-    Array.iter
-      (fun addr ->
-        let word = addr / 4 in
-        let bank = word mod banks in
-        let words =
-          match Int_tbl.find_opt per_bank bank with
-          | None -> []
-          | Some ws -> ws
-        in
-        if not (mem_int word words) then
-          Int_tbl.replace per_bank bank (word :: words))
-      accesses;
-    let worst =
-      Int_tbl.fold (fun _ ws acc -> max acc (List.length ws)) per_bank 1
-    in
-    worst - 1
+    let k = ref 0 in
+    while 1 lsl !k < m do
+      incr k
+    done;
+    !k
   end
+
+let div_by ~shift m x = if shift >= 0 && x >= 0 then x lsr shift else x / m
+
+let mod_by ~shift m x = if shift >= 0 && x >= 0 then x land (m - 1) else x mod m
+
+(* Caller-owned scratch for the per-access models below, so an access
+   allocates nothing: [coalesce] leaves its lines in [buf] and
+   [shared_conflicts] its distinct words, chained per bank through
+   [next] from [head] (-1 ends a chain; [head] is all -1 between calls).
+   Grown on demand, never shrunk. *)
+type scratch = {
+  mutable buf : int array;
+  mutable next : int array;
+  mutable bank : int array;  (* [head] index of each distinct word *)
+  mutable head : int array;
+}
+
+let scratch () =
+  {
+    buf = Array.make 32 0;
+    next = Array.make 32 0;
+    bank = Array.make 32 0;
+    head = [||];
+  }
+
+let scratch_get s i = s.buf.(i)
+
+let reserve s n =
+  if Array.length s.buf < n then begin
+    s.buf <- Array.make n 0;
+    s.next <- Array.make n 0;
+    s.bank <- Array.make n 0
+  end
+
+(* A warp touches a handful of lines, so a linear duplicate search beats
+   hashing. *)
+let coalesce s ~line_bytes accesses =
+  reserve s (Array.length accesses);
+  let buf = s.buf in
+  let shift = shift_of line_bytes in
+  let n = ref 0 in
+  for a = 0 to Array.length accesses - 1 do
+    let addr = accesses.(a) in
+    let line = addr - mod_by ~shift line_bytes addr in
+    let k = ref 0 in
+    while !k < !n && buf.(!k) <> line do
+      incr k
+    done;
+    if !k = !n then begin
+      buf.(!n) <- line;
+      incr n
+    end
+  done;
+  !n
+
+(* bank = word address mod banks; distinct words on the same bank
+   serialize, identical words broadcast. A new distinct word's depth is
+   one more than the distinct words already chained on its bank. The
+   chain heads are indexed [bank + banks], as [mod] keeps the sign of a
+   (negative) word. *)
+let shared_conflicts s ~banks accesses =
+  let n_acc = Array.length accesses in
+  reserve s n_acc;
+  if Array.length s.head < 2 * banks then s.head <- Array.make (2 * banks) (-1);
+  let buf = s.buf and next = s.next and bank = s.bank and head = s.head in
+  let shift = shift_of banks in
+  let n = ref 0 in
+  let worst = ref 1 in
+  for a = 0 to n_acc - 1 do
+    let word = accesses.(a) / 4 in
+    let b = mod_by ~shift banks word + banks in
+    let k = ref head.(b) in
+    let depth = ref 1 in
+    while !k >= 0 && buf.(!k) <> word do
+      incr depth;
+      k := next.(!k)
+    done;
+    if !k < 0 then begin
+      buf.(!n) <- word;
+      bank.(!n) <- b;
+      next.(!n) <- head.(b);
+      head.(b) <- !n;
+      incr n;
+      if !depth > !worst then worst := !depth
+    end
+  done;
+  for k = 0 to !n - 1 do
+    head.(bank.(k)) <- -1
+  done;
+  !worst - 1
 
 module L1 = struct
   type set = { tags : int array; last_use : int array }
@@ -56,7 +108,9 @@ module L1 = struct
   type t = {
     assoc : int;
     line : int;
+    line_shift : int;
     nsets : int;
+    nsets_shift : int;
     sets : set array;
     mutable tick : int;
   }
@@ -66,34 +120,41 @@ module L1 = struct
     {
       assoc;
       line;
+      line_shift = shift_of line;
       nsets;
+      nsets_shift = shift_of nsets;
       sets =
         Array.init nsets (fun _ ->
             { tags = Array.make assoc (-1); last_use = Array.make assoc 0 });
       tick = 0;
     }
 
-  let locate t addr =
-    let line_id = addr / t.line in
-    let set = line_id mod t.nsets in
-    let tag = line_id / t.nsets in
-    (t.sets.(set), tag)
+  (* The set holding [addr] and the tag it must match there. *)
+  let set_of t addr =
+    t.sets.(mod_by ~shift:t.nsets_shift t.nsets
+              (div_by ~shift:t.line_shift t.line addr))
+
+  let tag_of t addr =
+    div_by ~shift:t.nsets_shift t.nsets (div_by ~shift:t.line_shift t.line addr)
 
   let probe t addr =
-    let set, tag = locate t addr in
-    Array.exists (fun x -> x = tag) set.tags
+    let set = set_of t addr and tag = tag_of t addr in
+    let hit = ref false in
+    for i = 0 to t.assoc - 1 do
+      if set.tags.(i) = tag then hit := true
+    done;
+    !hit
 
   let access t addr =
     t.tick <- t.tick + 1;
-    let set, tag = locate t addr in
+    let set = set_of t addr and tag = tag_of t addr in
     let hit = ref false in
-    Array.iteri
-      (fun i x ->
-        if x = tag then begin
-          hit := true;
-          set.last_use.(i) <- t.tick
-        end)
-      set.tags;
+    for i = 0 to t.assoc - 1 do
+      if set.tags.(i) = tag then begin
+        hit := true;
+        set.last_use.(i) <- t.tick
+      end
+    done;
     if not !hit then begin
       (* LRU victim *)
       let victim = ref 0 in

@@ -1,14 +1,34 @@
 (** Memory-system timing: global-memory coalescing, a per-SM L1 cache, a
     shared DRAM channel and shared-memory bank-conflict accounting. *)
 
-val coalesce : line_bytes:int -> int array -> int list
-(** Unique cache-line base addresses touched by a warp's accesses, in first
-    touch order — the number of memory transactions after coalescing. *)
+val shift_of : int -> int
+(** [shift_of m] is log2 [m] for a power of two [m], else -1. *)
 
-val shared_conflicts : banks:int -> int array -> int
+val mod_by : shift:int -> int -> int -> int
+(** [mod_by ~shift:(shift_of m) m x] is [x mod m], by a mask when it
+    can be. *)
+
+type scratch
+(** Caller-owned working storage for {!coalesce} and
+    {!shared_conflicts}, so a memory access allocates nothing. One per
+    SM; reusable across accesses. *)
+
+val scratch : unit -> scratch
+
+val scratch_get : scratch -> int -> int
+(** [scratch_get s i] is the [i]-th result the last call left in [s]. *)
+
+val coalesce : scratch -> line_bytes:int -> int array -> int
+(** Number of unique cache-line base addresses touched by a warp's
+    accesses — the number of memory transactions after coalescing. The
+    lines are left in the scratch, in first-touch order, at positions
+    [0 .. n-1]. *)
+
+val shared_conflicts : scratch -> banks:int -> int array -> int
 (** Extra serialization cycles from shared-memory bank conflicts: with
     word-interleaved banks, the maximum number of distinct words mapped to
-    one bank, minus one. Lanes reading the same word broadcast for free. *)
+    one bank, minus one. Lanes reading the same word broadcast for free.
+    Overwrites the scratch. *)
 
 (** Set-associative, write-through, no-write-allocate L1 with LRU
     replacement. *)

@@ -9,27 +9,161 @@ type slot_state = {
   mutable n_at_barrier : int;  (* resident warps with at_barrier set *)
 }
 
-type in_flight = {
-  fly_warp : Engine.wctx;
-  fly_op : Record.op;
-  (* Mutable for the sharded cycle loop only: a deferred DRAM request
-     carries a [max_int] placeholder until the epoch barrier replays the
-     queue and patches the real completion in ([commit_epoch]). The
-     serial loop never mutates it. *)
-  mutable finish : int;
-  fly_mshrs : int;  (* MSHR entries this op holds until writeback *)
-}
+(* Stands in for an empty warp slot: its empty trace and I-buffer make
+   it drained, so every per-warp test rejects it. Never mutated. *)
+let no_warp =
+  {
+    Engine.wid = -1;
+    tb_slot = -1;
+    tb_id = -1;
+    warp_in_tb = -1;
+    trace = [||];
+    fi = 0;
+    ib_fi = [||];
+    ib_cycle = [||];
+    ib_head = 0;
+    ib_len = 0;
+    pending = [||];
+    pending_count = 0;
+    at_barrier = false;
+    finished = true;
+    last_issued = 0;
+    fetch_ready_at = 0;
+    mem_inflight = 0;
+    mshr_used = 0;
+    fetch_ok = true;
+    parked_at = -1;
+    skip_stall = 0;
+    drop_reason = 0;
+    gave_up_at = -1;
+  }
 
-(* One deferred DRAM channel access (sharded cycle loop): everything
-   needed to replay [Mem_model.Dram.request] at the epoch barrier in
-   canonical order, plus the in-flight record whose placeholder finish
-   the replay patches ([None] for stores, whose pipeline latency does
-   not depend on the channel). *)
-type dram_req = {
-  dq_now : int;  (* the [~now] the issue site would have passed *)
-  dq_ntxns : int;
-  mutable dq_fly : in_flight option;
-}
+(* Operations between issue and writeback, kept in flat int arrays so
+   the per-cycle paths store no pointers (and pay no write barrier).
+   Pool slot [s] holds an op's warp ([wid]), its index in that warp's
+   trace ([fi]), its completion cycle ([finish]) and the MSHR entries it
+   holds until writeback ([mshrs]). [heap_fin]/[heap_slot] are a binary
+   min-heap on the completion cycle over the [n] live slots; [free]
+   stacks the others. In the sharded cycle loop a deferred DRAM
+   request's [finish] is a [max_int] placeholder until the epoch barrier
+   replays the queue, patches the real completion in and re-heaps
+   ([commit_epoch]). *)
+module Inflight = struct
+  type t = {
+    mutable wid : int array;
+    mutable fi : int array;
+    mutable finish : int array;
+    mutable mshrs : int array;
+    mutable heap_fin : int array;
+    mutable heap_slot : int array;
+    mutable n : int;
+    mutable free : int array;
+    mutable n_free : int;
+  }
+
+  let create () =
+    {
+      wid = [||];
+      fi = [||];
+      finish = [||];
+      mshrs = [||];
+      heap_fin = [||];
+      heap_slot = [||];
+      n = 0;
+      free = [||];
+      n_free = 0;
+    }
+
+  let grow p =
+    let cap = Array.length p.wid in
+    let cap' = max 16 (2 * cap) in
+    let extend a = Array.append a (Array.make (cap' - cap) 0) in
+    p.wid <- extend p.wid;
+    p.fi <- extend p.fi;
+    p.finish <- extend p.finish;
+    p.mshrs <- extend p.mshrs;
+    p.heap_fin <- extend p.heap_fin;
+    p.heap_slot <- extend p.heap_slot;
+    p.free <- extend p.free;
+    for s = cap' - 1 downto cap do
+      p.free.(p.n_free) <- s;
+      p.n_free <- p.n_free + 1
+    done
+
+  (* Move the heap entry ([fin], [slot]) from hole [i] up or down to its
+     place. *)
+  let rec sift_up p i fin slot =
+    let parent = (i - 1) / 2 in
+    if i > 0 && p.heap_fin.(parent) > fin then begin
+      p.heap_fin.(i) <- p.heap_fin.(parent);
+      p.heap_slot.(i) <- p.heap_slot.(parent);
+      sift_up p parent fin slot
+    end
+    else begin
+      p.heap_fin.(i) <- fin;
+      p.heap_slot.(i) <- slot
+    end
+
+  let rec sift_down p i fin slot =
+    let l = (2 * i) + 1 in
+    let c =
+      if l + 1 < p.n && p.heap_fin.(l + 1) < p.heap_fin.(l) then l + 1 else l
+    in
+    if c < p.n && p.heap_fin.(c) < fin then begin
+      p.heap_fin.(i) <- p.heap_fin.(c);
+      p.heap_slot.(i) <- p.heap_slot.(c);
+      sift_down p c fin slot
+    end
+    else begin
+      p.heap_fin.(i) <- fin;
+      p.heap_slot.(i) <- slot
+    end
+
+  let add p ~wid ~fi ~finish ~mshrs =
+    if p.n_free = 0 then grow p;
+    p.n_free <- p.n_free - 1;
+    let s = p.free.(p.n_free) in
+    p.wid.(s) <- wid;
+    p.fi.(s) <- fi;
+    p.finish.(s) <- finish;
+    p.mshrs.(s) <- mshrs;
+    p.n <- p.n + 1;
+    sift_up p (p.n - 1) finish s;
+    s
+
+  let next_finish p = if p.n = 0 then max_int else p.heap_fin.(0)
+
+  (* Remove the earliest op; its slot stays readable until the next
+     [add]. *)
+  let pop p =
+    let s = p.heap_slot.(0) in
+    p.n <- p.n - 1;
+    if p.n > 0 then sift_down p 0 p.heap_fin.(p.n) p.heap_slot.(p.n);
+    p.free.(p.n_free) <- s;
+    p.n_free <- p.n_free + 1;
+    s
+
+  (* Restore the heap after [finish] entries were patched. *)
+  let reheap p =
+    for i = 0 to p.n - 1 do
+      p.heap_fin.(i) <- p.finish.(p.heap_slot.(i))
+    done;
+    for i = (p.n / 2) - 1 downto 0 do
+      sift_down p i p.heap_fin.(i) p.heap_slot.(i)
+    done
+end
+
+(* Warp-state tests ([warp_done], [warp_drained] restate {!Engine}'s so
+   the compiler can inline them on the per-cycle paths: dune's default
+   (dev) profile compiles each module with [-opaque], which rules out
+   inlining across modules) and the I-buffer head. *)
+let warp_done (w : Engine.wctx) = w.Engine.fi >= Array.length w.Engine.trace
+
+let warp_drained (w : Engine.wctx) = w.Engine.ib_len = 0 && warp_done w
+
+let head_op (w : Engine.wctx) = w.Engine.trace.(w.Engine.ib_fi.(w.Engine.ib_head))
+
+let head_cycle (w : Engine.wctx) = w.Engine.ib_cycle.(w.Engine.ib_head)
 
 type t = {
   cfg : Config.t;
@@ -41,27 +175,53 @@ type t = {
   icache : Mem_model.L1.t;
   collectors : int array;  (* per-unit busy-until cycle *)
   slots : slot_state array;
+  mutable resident : int;  (* occupied slots *)
   warps : Engine.wctx option array;  (* wid = slot * warps_per_tb + lane *)
   warps_per_tb : int;
-  mutable inflight : in_flight list;
-  mutable n_inflight : int;
-  mutable next_wb : int;  (* earliest finish in [inflight]; max_int if none *)
+  fly : Inflight.t;
+  mutable next_wb : int;  (* earliest in-flight finish; max_int if none *)
+  scratch : Mem_model.scratch;  (* coalescer / bank-conflict workspace *)
+  (* Issue-stage structural budgets, refilled at the top of each issue
+     stage. *)
+  mutable mem_left : int;
+  mutable sfu_left : int;
   mutable fetch_ptr : int;
   (* True when this cycle's fetch phase advanced any warp (fi, ibuf or
      fetch_ready_at changed). Fetch runs after the engine's cycle_skip,
      so its quiescence snapshot is stale whenever this is set. *)
   mutable fetch_mutated : bool;
   greedy : int array;  (* per scheduler: preferred wid, or -1 *)
+  (* Per scheduler, its resident warps' wids ([wid mod num_schedulers =
+     sched]) in ascending order, [sched_n] of them: the GTO scan order
+     without the empty slots. Rebuilt at TB launch and retirement. *)
+  sched_wid : int array array;
+  sched_n : int array;
+  (* Per wid, the fetch cycle of the I-buffer head when the warp could
+     issue it (buffer non-empty, not parked at a barrier), else max_int:
+     the schedulers' first test, one int per warp. Kept current by
+     [refresh_head] wherever the I-buffer or [at_barrier] changes. *)
+  head_at : int array;
+  (* Per wid, whether the I-buffer head clears the scoreboard: 1 yes, 0
+     no, -1 not known. A warp's pending writes only fall at its
+     writebacks and rise at its issues, which also move the head, so an
+     answer holds until [retire] or [refresh_head] forgets it. *)
+  ready_memo : int array;
   mutable cycle : int;
   bank_use : int array;  (* per-RF-bank reads scheduled this cycle *)
+  rf_shift : int;  (* [Mem_model.shift_of rf_banks] *)
   sm_id : int;
   sink : Obs.Sink.t;
+  tracing : bool;  (* [sink] is enabled *)
   attr : Obs.Attrib.t;
   ledger : Obs.Ledger.t;
   pcstat : Obs.Pcstat.t option;
   series : Obs.Series.t option;
   mutable issue_slots_used : int;  (* issues + drops this cycle *)
   mutable active_pc : int;  (* first PC issued/dropped this cycle *)
+  (* The current cycle's stall classification ([classify_cycle]): its
+     Attrib bucket and blocking PC (-1 = the none-row). *)
+  mutable cls_bucket : Obs.Attrib.bucket;
+  mutable cls_pc : int;
   mutable last_barrier_pc : int;  (* most recent barrier-setting PC *)
   (* Shared-memory bank-conflict replay port (smem_banks > 0): the port
      is busy serializing replays through [smem_replay_until], and
@@ -70,18 +230,26 @@ type t = {
   mutable smem_replay_until : int;
   mutable smem_replay_pc : int;
   (* Sharded cycle loop (sm_domains > 1) bookkeeping; all dormant in the
-     serial loop. [dram_defer] routes issue-stage DRAM requests into
-     [dram_q] (reverse issue order) instead of the shared channel;
-     [dram_patch] carries the request between [dram_request] and the
-     [add_inflight] whose record it must patch. The remaining fields let
-     the epoch driver reproduce serial TB dispatch and the deadlock
-     watchdog exactly: [tbs_retired] is a monotone retirement counter
+     serial loop. [dram_defer] routes issue-stage DRAM requests into a
+     local queue, [0 .. n_dq-1] of [dq_now]/[dq_ntxns]/[dq_slot] in issue
+     order, instead of the shared channel: the [~now] and [~ntxns] the
+     issue site would have passed, and the in-flight slot whose
+     placeholder finish the replay patches (-1 for stores, whose
+     pipeline latency does not depend on the channel). [dram_patch] is
+     the request between [dram_request] and the [add_inflight] it must
+     be bound to (-1 = none), and [dq_pos] is [commit_epoch]'s merge
+     cursor. The remaining fields let the epoch driver reproduce serial
+     TB dispatch and the deadlock watchdog exactly: [tbs_retired] is a monotone retirement counter
      (a worker pauses at a retirement so the driver can replay the
      serial dispatch scan), [last_wb_cycle] / [last_progress] timestamp
      the most recent writeback and progress-token movement. *)
   dram_defer : bool;
-  mutable dram_q : dram_req list;
-  mutable dram_patch : dram_req option;
+  mutable dq_now : int array;
+  mutable dq_ntxns : int array;
+  mutable dq_slot : int array;
+  mutable n_dq : int;
+  mutable dq_pos : int;
+  mutable dram_patch : int;
   mutable tbs_retired : int;
   mutable last_wb_cycle : int;
   mutable last_progress : int;
@@ -133,30 +301,49 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat
             barrier_release_at = -1;
             n_at_barrier = 0;
           });
+    resident = 0;
     warps = Array.make (slots * warps_per_tb) None;
     warps_per_tb;
-    inflight = [];
-    n_inflight = 0;
+    fly = Inflight.create ();
     next_wb = max_int;
+    scratch = Mem_model.scratch ();
+    mem_left = 0;
+    sfu_left = 0;
     fetch_ptr = 0;
     fetch_mutated = false;
     greedy = Array.make cfg.Config.num_schedulers (-1);
+    sched_wid =
+      Array.make_matrix cfg.Config.num_schedulers
+        (((slots * warps_per_tb) + cfg.Config.num_schedulers - 1)
+         / max 1 cfg.Config.num_schedulers)
+        0;
+    sched_n = Array.make cfg.Config.num_schedulers 0;
+    head_at = Array.make (slots * warps_per_tb) max_int;
+    ready_memo = Array.make (slots * warps_per_tb) (-1);
     cycle = 0;
     bank_use = Array.make cfg.Config.rf_banks 0;
+    rf_shift = Mem_model.shift_of cfg.Config.rf_banks;
     sm_id;
     sink;
+    tracing = Obs.Sink.enabled sink;
     attr = Obs.Attrib.create ();
     ledger;
     pcstat;
     series;
     issue_slots_used = 0;
     active_pc = -1;
+    cls_bucket = Obs.Attrib.Idle;
+    cls_pc = -1;
     last_barrier_pc = -1;
     smem_replay_until = 0;
     smem_replay_pc = -1;
     dram_defer = deferred_dram;
-    dram_q = [];
-    dram_patch = None;
+    dq_now = [||];
+    dq_ntxns = [||];
+    dq_slot = [||];
+    n_dq = 0;
+    dq_pos = 0;
+    dram_patch = -1;
     tbs_retired = 0;
     last_wb_cycle = 0;
     (* 1, not 0: the serial watchdog's progress ref starts one compare
@@ -167,14 +354,31 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat
     progress_snapshot = 0;
   }
 
-let pc_note t f = match t.pcstat with None -> () | Some p -> f p
-
 let emit t ~warp kind =
-  if Obs.Sink.enabled t.sink then
+  if t.tracing then
     Obs.Sink.emit t.sink
       { Obs.Event.cycle = t.cycle; sm = t.sm_id; warp; kind }
 
-let can_accept t = Array.exists (fun s -> not s.occupied) t.slots
+let refresh_head t (w : Engine.wctx) =
+  t.ready_memo.(w.Engine.wid) <- -1;
+  t.head_at.(w.Engine.wid) <-
+    (if w.Engine.ib_len > 0 && not w.Engine.at_barrier then head_cycle w
+     else max_int)
+
+let rebuild_sched t =
+  let ns = Array.length t.sched_n in
+  Array.fill t.sched_n 0 ns 0;
+  Array.iteri
+    (fun wid -> function
+      | Some w ->
+        refresh_head t w;
+        let s = wid mod ns in
+        t.sched_wid.(s).(t.sched_n.(s)) <- wid;
+        t.sched_n.(s) <- t.sched_n.(s) + 1
+      | None -> t.head_at.(wid) <- max_int)
+    t.warps
+
+let can_accept t = t.resident < Array.length t.slots
 
 let launch_tb t ~tb_id ~traces =
   let slot_idx =
@@ -188,6 +392,7 @@ let launch_tb t ~tb_id ~traces =
   in
   let slot = t.slots.(slot_idx) in
   slot.occupied <- true;
+  t.resident <- t.resident + 1;
   slot.tb_id <- tb_id;
   slot.inflight_ops <- 0;
   slot.barrier_release_at <- -1;
@@ -195,6 +400,7 @@ let launch_tb t ~tb_id ~traces =
   if Array.length traces > t.warps_per_tb then
     invalid_arg "Sm.launch_tb: threadblock has too many warps for this SM";
   let nregs = max t.kinfo.Kinfo.kernel.Darsie_isa.Kernel.nregs 1 in
+  let depth = max 1 t.cfg.Config.ibuf_depth in
   let warps =
     Array.init (Array.length traces) (fun w ->
         {
@@ -204,7 +410,10 @@ let launch_tb t ~tb_id ~traces =
           warp_in_tb = w;
           trace = traces.(w);
           fi = 0;
-          ibuf = Queue.create ();
+          ib_fi = Array.make depth 0;
+          ib_cycle = Array.make depth 0;
+          ib_head = 0;
+          ib_len = 0;
           pending = Array.make nregs 0;
           pending_count = 0;
           at_barrier = false;
@@ -237,11 +446,11 @@ let launch_tb t ~tb_id ~traces =
   for w = Array.length traces to t.warps_per_tb - 1 do
     t.warps.((slot_idx * t.warps_per_tb) + w) <- None
   done;
+  rebuild_sched t;
   emit t ~warp:tb_id Obs.Event.Tb_launch;
   t.engine.Engine.on_tb_launch ~tb_slot:slot_idx ~warps
 
-let busy t =
-  Array.exists (fun s -> s.occupied) t.slots || t.inflight <> []
+let busy t = t.fly.Inflight.n > 0 || t.resident > 0
 
 let stats t = t.stats
 
@@ -259,7 +468,7 @@ let skip_telemetry t = t.engine.Engine.pc_telemetry ()
 
 let series t = t.series
 
-let inflight_count t = t.n_inflight
+let inflight_count t = t.fly.Inflight.n
 
 (* Monotone counter that moves iff the pipeline did something this cycle:
    fetched, issued, dropped at issue or skipped pre-fetch. The watchdog
@@ -281,11 +490,11 @@ let warp_snapshots t =
           if w.Engine.fi < len then w.Engine.trace.(w.Engine.fi).Record.idx
           else -1
         in
-        let drained = Engine.warp_done w && Queue.is_empty w.Engine.ibuf in
+        let drained = warp_drained w in
         let state =
           if drained && w.Engine.pending_count = 0 then "finished"
           else if w.Engine.at_barrier then "at_barrier"
-          else if Queue.is_empty w.Engine.ibuf && not (t.engine.Engine.can_fetch w)
+          else if w.Engine.ib_len = 0 && not (t.engine.Engine.can_fetch w)
           then "fetch_gated"
           else "runnable"
         in
@@ -299,7 +508,7 @@ let warp_snapshots t =
             ws_detail =
               Printf.sprintf "trace %d/%d, ibuf %d, pending %d" w.Engine.fi
                 len
-                (Queue.length w.Engine.ibuf)
+                w.Engine.ib_len
                 w.Engine.pending_count;
           }
         in
@@ -316,20 +525,26 @@ let finalize t =
   (match t.series with
   | Some s -> Obs.Series.record s ~cycle:t.cycle (sample_snapshot t.stats)
   | None -> ());
-  pc_note t (fun p ->
-      List.iter
-        (fun (pc, (e : Obs.Pcstat.skip_entry)) ->
-          Obs.Pcstat.note_skips p ~pc e.Obs.Pcstat.sk_hits)
-        (skip_telemetry t))
+  match t.pcstat with
+  | Some p ->
+    List.iter
+      (fun (pc, (e : Obs.Pcstat.skip_entry)) ->
+        Obs.Pcstat.note_skips p ~pc e.Obs.Pcstat.sk_hits)
+      (skip_telemetry t)
+  | None -> ()
 
-(* A warp has issued everything when its trace cursor is exhausted and its
-   I-buffer has drained. *)
-let warp_drained (w : Engine.wctx) =
-  Engine.warp_done w && Queue.is_empty w.Engine.ibuf
+let imin (a : int) b = if a < b then a else b
 
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
+let imax (a : int) b = if a > b then a else b
+
+(* Set bits per byte value. *)
+let byte_pop =
+  Array.init 256 (fun b ->
+      let rec go m = if m = 0 then 0 else (m land 1) + go (m lsr 1) in
+      go b)
+
+let rec popcount m =
+  if m = 0 then 0 else byte_pop.(m land 0xff) + popcount (m lsr 8)
 
 (* ------------------------------------------------------------------ *)
 (* Writeback                                                           *)
@@ -340,55 +555,53 @@ let is_mem_class t idx =
   | Kinfo.Mem_global | Kinfo.Mem_shared -> true
   | Kinfo.Alu | Kinfo.Sfu | Kinfo.Ctrl -> false
 
-(* Record one operation entering the pipeline between issue and
-   writeback; every insertion site must go through here so the
-   maintained counters ([n_inflight], [next_wb], per-warp
-   [mem_inflight], [mshr_used]) stay consistent with the list.
-   [mshrs] is the number of MSHR entries the op allocated (missed
-   lines of a gated global load; 0 everywhere else). *)
-let add_inflight ?(mshrs = 0) t (w : Engine.wctx) op ~finish =
-  t.inflight <- { fly_warp = w; fly_op = op; finish; fly_mshrs = mshrs }
-                :: t.inflight;
-  t.n_inflight <- t.n_inflight + 1;
+(* Record the head op of [w]'s I-buffer entering the pipeline between
+   issue and writeback; every insertion site must go through here so
+   the maintained counters ([next_wb], per-warp [mem_inflight],
+   [mshr_used]) stay consistent with the pool. [mshrs] is the number of
+   MSHR entries the op allocated (missed lines of a gated global load; 0
+   everywhere else). Returns the op's pool slot. *)
+let add_inflight t (w : Engine.wctx) ~fi ~finish ~mshrs =
+  let s = Inflight.add t.fly ~wid:w.Engine.wid ~fi ~finish ~mshrs in
   if finish < t.next_wb then t.next_wb <- finish;
   if mshrs > 0 then w.Engine.mshr_used <- w.Engine.mshr_used + mshrs;
-  if is_mem_class t op.Record.idx then
-    w.Engine.mem_inflight <- w.Engine.mem_inflight + 1
+  if is_mem_class t w.Engine.trace.(fi).Record.idx then
+    w.Engine.mem_inflight <- w.Engine.mem_inflight + 1;
+  s
 
+let warp_of t wid = match t.warps.(wid) with Some w -> w | None -> no_warp
+
+let retire t s =
+  let fly = t.fly in
+  let w = warp_of t fly.Inflight.wid.(s) in
+  t.ready_memo.(w.Engine.wid) <- -1;
+  let op = w.Engine.trace.(fly.Inflight.fi.(s)) in
+  (match t.kinfo.Kinfo.dst_reg.(op.Record.idx) with
+  | Some d ->
+    w.Engine.pending.(d) <- w.Engine.pending.(d) - 1;
+    w.Engine.pending_count <- w.Engine.pending_count - 1;
+    t.stats.Stats.rf_writes <- t.stats.Stats.rf_writes + 1
+  | None -> ());
+  t.slots.(w.Engine.tb_slot).inflight_ops <-
+    t.slots.(w.Engine.tb_slot).inflight_ops - 1;
+  let mshrs = fly.Inflight.mshrs.(s) in
+  if mshrs > 0 then w.Engine.mshr_used <- w.Engine.mshr_used - mshrs;
+  if is_mem_class t op.Record.idx then
+    w.Engine.mem_inflight <- w.Engine.mem_inflight - 1;
+  t.engine.Engine.on_writeback ~cycle:t.cycle w op
+
+(* Completions within one cycle commute (register, slot and MSHR counts
+   are sums; the engines' writeback hooks touch per-(PC, occurrence)
+   state), so the heap's tie order is not observable. *)
 let writeback t =
   if t.next_wb <= t.cycle then begin
     (* [next_wb] is the minimum pending finish, so entering here means at
        least one operation completes this cycle. *)
     t.last_wb_cycle <- t.cycle;
-    let stats = t.stats in
-    let still = ref [] in
-    let nwb = ref max_int in
-    List.iter
-      (fun f ->
-        if f.finish <= t.cycle then begin
-          let w = f.fly_warp in
-          (match t.kinfo.Kinfo.dst_reg.(f.fly_op.Record.idx) with
-          | Some d ->
-            w.Engine.pending.(d) <- w.Engine.pending.(d) - 1;
-            w.Engine.pending_count <- w.Engine.pending_count - 1;
-            stats.Stats.rf_writes <- stats.Stats.rf_writes + 1
-          | None -> ());
-          t.slots.(w.Engine.tb_slot).inflight_ops <-
-            t.slots.(w.Engine.tb_slot).inflight_ops - 1;
-          t.n_inflight <- t.n_inflight - 1;
-          if f.fly_mshrs > 0 then
-            w.Engine.mshr_used <- w.Engine.mshr_used - f.fly_mshrs;
-          if is_mem_class t f.fly_op.Record.idx then
-            w.Engine.mem_inflight <- w.Engine.mem_inflight - 1;
-          t.engine.Engine.on_writeback ~cycle:t.cycle w f.fly_op
-        end
-        else begin
-          if f.finish < !nwb then nwb := f.finish;
-          still := f :: !still
-        end)
-      t.inflight;
-    t.inflight <- !still;
-    t.next_wb <- !nwb
+    while Inflight.next_finish t.fly <= t.cycle do
+      retire t (Inflight.pop t.fly)
+    done;
+    t.next_wb <- Inflight.next_finish t.fly
   end
 
 (* ------------------------------------------------------------------ *)
@@ -399,7 +612,7 @@ let writeback t =
    bumped when a Ctrl issue parks a warp at a barrier and zeroed on
    release and TB launch, so the per-cycle scans the old code did are a
    single integer test. Debug builds cross-check the counter against a
-   recount. *)
+   recount wherever it is bumped. *)
 let count_at_barrier t slot_idx =
   let base = slot_idx * t.warps_per_tb in
   let n = ref 0 in
@@ -416,26 +629,29 @@ let barriers_and_retirement t =
     let slot = t.slots.(slot_idx) in
     if slot.occupied then begin
       let base = slot_idx * wpt in
-      assert (slot.n_at_barrier = count_at_barrier t slot_idx);
       if slot.n_at_barrier > 0 then begin
         t.stats.Stats.barrier_stall_cycles <-
           t.stats.Stats.barrier_stall_cycles + slot.n_at_barrier;
-        let all_arrived = ref true in
-        for k = 0 to wpt - 1 do
-          match t.warps.(base + k) with
-          | Some w when (not w.Engine.at_barrier) && not (warp_drained w) ->
-            all_arrived := false
-          | _ -> ()
-        done;
         (* The barrier network takes barrier_lat cycles from last-warp
            arrival to release. *)
-        if !all_arrived && slot.barrier_release_at < 0 then
-          slot.barrier_release_at <- t.cycle + t.cfg.Config.barrier_lat;
+        if slot.barrier_release_at < 0 then begin
+          let all_arrived = ref true in
+          for k = 0 to wpt - 1 do
+            match t.warps.(base + k) with
+            | Some w when (not w.Engine.at_barrier) && not (warp_drained w) ->
+              all_arrived := false
+            | _ -> ()
+          done;
+          if !all_arrived then
+            slot.barrier_release_at <- t.cycle + t.cfg.Config.barrier_lat
+        end;
         if slot.barrier_release_at >= 0 && t.cycle >= slot.barrier_release_at
         then begin
           for k = 0 to wpt - 1 do
             match t.warps.(base + k) with
-            | Some w -> w.Engine.at_barrier <- false
+            | Some w ->
+              w.Engine.at_barrier <- false;
+              refresh_head t w
             | None -> ()
           done;
           slot.n_at_barrier <- 0;
@@ -454,9 +670,11 @@ let barriers_and_retirement t =
         done;
         if !all_drained then begin
           slot.occupied <- false;
+          t.resident <- t.resident - 1;
           for k = 0 to wpt - 1 do
             t.warps.(base + k) <- None
           done;
+          rebuild_sched t;
           t.tbs_retired <- t.tbs_retired + 1;
           emit t ~warp:slot_idx Obs.Event.Tb_finish;
           t.engine.Engine.on_tb_finish ~tb_slot:slot_idx
@@ -473,21 +691,30 @@ let barriers_and_retirement t =
    registers live in a strided region of the same banks, which is how
    follower reads create extra conflicts. *)
 let bank_of t (w : Engine.wctx) reg =
-  ((w.Engine.wid * t.kinfo.Kinfo.kernel.Darsie_isa.Kernel.nregs) + reg)
-  mod t.cfg.Config.rf_banks
+  Mem_model.mod_by ~shift:t.rf_shift t.cfg.Config.rf_banks
+    ((w.Engine.wid * t.kinfo.Kinfo.kernel.Darsie_isa.Kernel.nregs) + reg)
+
+let rec srcs_ready pending = function
+  | [] -> true
+  | r :: rest -> pending.(r) = 0 && srcs_ready pending rest
 
 let scoreboard_ready (w : Engine.wctx) kinfo idx =
-  let srcs = kinfo.Kinfo.src_regs.(idx) in
-  List.for_all (fun r -> w.Engine.pending.(r) = 0) srcs
+  srcs_ready w.Engine.pending kinfo.Kinfo.src_regs.(idx)
   &&
   match kinfo.Kinfo.dst_reg.(idx) with
   | Some d -> w.Engine.pending.(d) = 0
   | None -> true
 
-type issue_budget = {
-  mutable mem_left : int;
-  mutable sfu_left : int;
-}
+(* [scoreboard_ready] for [w]'s I-buffer head (which must exist),
+   remembered in [ready_memo]. *)
+let head_ready t (w : Engine.wctx) =
+  match t.ready_memo.(w.Engine.wid) with
+  | 1 -> true
+  | 0 -> false
+  | _ ->
+    let r = scoreboard_ready w t.kinfo (head_op w).Record.idx in
+    t.ready_memo.(w.Engine.wid) <- (if r then 1 else 0);
+    r
 
 (* Structural memory-limit gate for the head instruction at [idx] of
    warp [w]: true when a configured fidelity knob blocks issue this
@@ -519,240 +746,239 @@ let mem_struct_blocked t (w : Engine.wctx) idx =
 let dram_request t ~now ~ntxns =
   if not t.dram_defer then Mem_model.Dram.request t.dram ~now ~ntxns
   else begin
-    let req = { dq_now = now; dq_ntxns = ntxns; dq_fly = None } in
-    t.dram_q <- req :: t.dram_q;
-    t.dram_patch <- Some req;
+    if t.n_dq = Array.length t.dq_now then begin
+      let extend a = Array.append a (Array.make (max 16 t.n_dq) 0) in
+      t.dq_now <- extend t.dq_now;
+      t.dq_ntxns <- extend t.dq_ntxns;
+      t.dq_slot <- extend t.dq_slot
+    end;
+    t.dq_now.(t.n_dq) <- now;
+    t.dq_ntxns.(t.n_dq) <- ntxns;
+    t.dq_slot.(t.n_dq) <- -1;
+    t.dram_patch <- t.n_dq;
+    t.n_dq <- t.n_dq + 1;
     max_int
   end
 
+(* First free operand-collector unit, or -1 when all are busy. *)
+let free_collector t =
+  let u = ref 0 in
+  let n = Array.length t.collectors in
+  while !u < n && t.collectors.(!u) > t.cycle do
+    incr u
+  done;
+  if !u < n then !u else -1
+
+(* Read the source registers' banks; returns the number of reads that
+   conflicted with an earlier read of the same bank this cycle. *)
+let rec read_banks t w conflicts = function
+  | [] -> conflicts
+  | r :: rest ->
+    let b = bank_of t w r in
+    let c = if t.bank_use.(b) > 0 then conflicts + 1 else conflicts in
+    t.bank_use.(b) <- t.bank_use.(b) + 1;
+    t.stats.Stats.rf_reads <- t.stats.Stats.rf_reads + 1;
+    read_banks t w c rest
+
+let count_elim (stats : Stats.t) = function
+  | Darsie_compiler.Marking.Uniform ->
+    stats.Stats.elim_uniform <- stats.Stats.elim_uniform + 1
+  | Darsie_compiler.Marking.Affine ->
+    stats.Stats.elim_affine <- stats.Stats.elim_affine + 1
+  | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
+    stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1
+
 (* Issue one op from warp [w]; returns false if the head op cannot issue. *)
-let try_issue_head t budget (w : Engine.wctx) =
-  if w.Engine.at_barrier then false
-  else
-    match Queue.peek_opt w.Engine.ibuf with
-    | None -> false
-    | Some (op, fetch_cycle) ->
-      let idx = op.Record.idx in
-      let kinfo = t.kinfo in
-      let unit_class = kinfo.Kinfo.unit_of.(idx) in
-      let structural_ok =
-        match unit_class with
-        | Kinfo.Mem_global | Kinfo.Mem_shared -> budget.mem_left > 0
-        | Kinfo.Sfu -> budget.sfu_left > 0
-        | Kinfo.Alu | Kinfo.Ctrl -> true
-      in
-      (* operand collection: instructions reading registers need a free
-         operand-collector unit *)
-      let collector =
-        if kinfo.Kinfo.nsrcs.(idx) = 0 then Some (-1)
-        else begin
-          let found = ref None in
-          Array.iteri
-            (fun u busy -> if !found = None && busy <= t.cycle then found := Some u)
-            t.collectors;
-          !found
-        end
-      in
-      if fetch_cycle >= t.cycle || not structural_ok || collector = None
-         || (not (scoreboard_ready w kinfo idx))
-         || mem_struct_blocked t w idx
-      then false
-      else begin
-        ignore (Queue.pop w.Engine.ibuf);
-        let stats = t.stats in
-        let cfg = t.cfg in
-        let mshrs_alloc = ref 0 in
-        w.Engine.last_issued <- t.cycle;
-        t.issue_slots_used <- t.issue_slots_used + 1;
-        if t.issue_slots_used = 1 then t.active_pc <- idx;
-        (match t.engine.Engine.on_issue ~cycle:t.cycle w op with
-        | Engine.Drop ->
-          (* Eliminated at issue (UV): consumed fetch/decode and an issue
-             slot but no execution resources; the reuse-buffer value is
-             available to dependents next cycle. *)
-          stats.Stats.dropped_issue <- stats.Stats.dropped_issue + 1;
-          pc_note t (fun p -> Obs.Pcstat.note_drop p ~pc:idx);
-          emit t ~warp:w.Engine.wid Obs.Event.Drop_at_issue;
-          (match kinfo.Kinfo.shape.(idx) with
-          | Darsie_compiler.Marking.Uniform ->
-            stats.Stats.elim_uniform <- stats.Stats.elim_uniform + 1
-          | Darsie_compiler.Marking.Affine ->
-            stats.Stats.elim_affine <- stats.Stats.elim_affine + 1
-          | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
-            stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1);
-          (match kinfo.Kinfo.dst_reg.(idx) with
-          | Some d ->
-            w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
-            w.Engine.pending_count <- w.Engine.pending_count + 1;
-            t.slots.(w.Engine.tb_slot).inflight_ops <-
-              t.slots.(w.Engine.tb_slot).inflight_ops + 1;
-            add_inflight t w op ~finish:(t.cycle + 1)
-          | None -> ())
-        | Engine.Execute ->
-          stats.Stats.issued <- stats.Stats.issued + 1;
-          pc_note t (fun p -> Obs.Pcstat.note_issue p ~pc:idx);
-          stats.Stats.executed_threads <-
-            stats.Stats.executed_threads + popcount op.Record.active;
-          emit t ~warp:w.Engine.wid Obs.Event.Issue;
-          (* Register file reads and bank conflicts. *)
-          let conflicts = ref 0 in
-          List.iter
-            (fun r ->
-              let b = bank_of t w r in
-              if t.bank_use.(b) > 0 then incr conflicts;
-              t.bank_use.(b) <- t.bank_use.(b) + 1;
-              stats.Stats.rf_reads <- stats.Stats.rf_reads + 1)
-            kinfo.Kinfo.src_regs.(idx);
-          stats.Stats.rf_bank_conflicts <-
-            stats.Stats.rf_bank_conflicts + !conflicts;
-          (match collector with
-          | Some u when u >= 0 -> t.collectors.(u) <- t.cycle + 2 + !conflicts
-          | _ -> ());
-          let finish =
-            match unit_class with
-            | Kinfo.Alu ->
-              stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
-              t.cycle + cfg.Config.alu_lat + !conflicts
-            | Kinfo.Ctrl ->
-              if kinfo.Kinfo.is_barrier.(idx) then w.Engine.at_barrier <- true
-              else if kinfo.Kinfo.is_branch.(idx) && cfg.Config.sync_at_branches
-              then w.Engine.at_barrier <- true;
-              if w.Engine.at_barrier then begin
-                (* the issue guard rejects warps already at a barrier, so
-                   this transition is always false -> true *)
-                t.slots.(w.Engine.tb_slot).n_at_barrier <-
-                  t.slots.(w.Engine.tb_slot).n_at_barrier + 1;
-                t.last_barrier_pc <- idx;
-                emit t ~warp:w.Engine.wid Obs.Event.Barrier_arrive
-              end;
-              t.cycle + cfg.Config.alu_lat
-            | Kinfo.Sfu ->
-              budget.sfu_left <- budget.sfu_left - 1;
-              stats.Stats.sfu_ops <- stats.Stats.sfu_ops + 1;
-              t.cycle + cfg.Config.sfu_lat + !conflicts
-            | Kinfo.Mem_shared ->
-              budget.mem_left <- budget.mem_left - 1;
-              stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
-              emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
-              let banks =
-                if cfg.Config.smem_banks > 0 then cfg.Config.smem_banks
-                else cfg.Config.warp_size
-              in
-              let sc =
-                Mem_model.shared_conflicts ~banks op.Record.accesses
-              in
-              stats.Stats.shared_accesses <-
-                stats.Stats.shared_accesses + 1 + sc;
-              stats.Stats.shared_bank_conflicts <-
-                stats.Stats.shared_bank_conflicts + sc;
-              (* Conflict replay: the shared port stays busy while the
-                 [sc] replay passes serialize; the gate above keeps
-                 further shared accesses out until it frees. *)
-              if cfg.Config.smem_banks > 0 && sc > 0 then begin
-                t.smem_replay_until <- t.cycle + sc;
-                t.smem_replay_pc <- idx;
-                stats.Stats.smem_replay_cycles <-
-                  stats.Stats.smem_replay_cycles + sc
-              end;
-              t.cycle + cfg.Config.shared_lat + sc + !conflicts
-            | Kinfo.Mem_global ->
-              budget.mem_left <- budget.mem_left - 1;
-              stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
-              emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
-              let lines =
-                Mem_model.coalesce ~line_bytes:cfg.Config.l1_line
-                  op.Record.accesses
-              in
-              let nlines = List.length lines in
-              if kinfo.Kinfo.is_atomic.(idx) then begin
-                (* Atomics bypass the L1 and serialize at DRAM. *)
-                t.engine.Engine.on_store ~atomic:true w;
-                stats.Stats.dram_transactions <-
-                  stats.Stats.dram_transactions + nlines;
-                emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
-                dram_request t ~now:(t.cycle + cfg.Config.l1_lat) ~ntxns:nlines
-              end
-              else if kinfo.Kinfo.is_store.(idx) then begin
-                (* Write-through, no-allocate: stores drain to DRAM and do
-                   not stall the pipeline. *)
-                t.engine.Engine.on_store ~atomic:false w;
-                stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
-                stats.Stats.dram_transactions <-
-                  stats.Stats.dram_transactions + nlines;
-                emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
-                ignore
-                  (dram_request t ~now:(t.cycle + cfg.Config.l1_lat)
-                     ~ntxns:nlines);
-                (* the store's own finish is latency-independent of DRAM;
-                   the queued request only matters for channel ordering *)
-                t.dram_patch <- None;
-                t.cycle + cfg.Config.alu_lat
-              end
-              else begin
-                stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
-                let misses =
-                  List.fold_left
-                    (fun acc line ->
-                      if Mem_model.L1.access t.l1 line then acc else acc + 1)
-                    0 lines
-                in
-                stats.Stats.l1_misses <- stats.Stats.l1_misses + misses;
-                if misses = 0 then
-                  t.cycle + cfg.Config.l1_lat + nlines - 1 + !conflicts
-                else begin
-                  (* the gate guaranteed at least one free MSHR; the
-                     load allocates one per missed line, released at
-                     writeback *)
-                  if cfg.Config.mshrs > 0 then mshrs_alloc := misses;
-                  stats.Stats.dram_transactions <-
-                    stats.Stats.dram_transactions + misses;
-                  emit t ~warp:w.Engine.wid Obs.Event.L1_miss;
-                  emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
-                  dram_request t ~now:(t.cycle + cfg.Config.l1_lat)
-                    ~ntxns:misses
-                end
-              end
-          in
-          (match unit_class with
-          | Kinfo.Mem_global | Kinfo.Mem_shared ->
-            pc_note t (fun p ->
-                Obs.Pcstat.note_mem_latency p ~pc:idx ~lat:(finish - t.cycle))
-          | Kinfo.Alu | Kinfo.Sfu | Kinfo.Ctrl -> ());
-          (* Track every executed op for TB retirement; register release
-             happens at writeback only for ops that write one. *)
-          (match kinfo.Kinfo.dst_reg.(idx) with
-          | Some d ->
-            w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
-            w.Engine.pending_count <- w.Engine.pending_count + 1
-          | None -> ());
+let try_issue_head t (w : Engine.wctx) =
+  if w.Engine.at_barrier || w.Engine.ib_len = 0 then false
+  else begin
+    let op = head_op w in
+    let idx = op.Record.idx in
+    let kinfo = t.kinfo in
+    let unit_class = kinfo.Kinfo.unit_of.(idx) in
+    let structural_ok =
+      match unit_class with
+      | Kinfo.Mem_global | Kinfo.Mem_shared -> t.mem_left > 0
+      | Kinfo.Sfu -> t.sfu_left > 0
+      | Kinfo.Alu | Kinfo.Ctrl -> true
+    in
+    (* operand collection: instructions reading registers need a free
+       operand-collector unit ([-2]: none needed) *)
+    let collector = if kinfo.Kinfo.nsrcs.(idx) = 0 then -2 else free_collector t in
+    if head_cycle w >= t.cycle || not structural_ok || collector = -1
+       || (not (head_ready t w))
+       || mem_struct_blocked t w idx
+    then false
+    else begin
+      let fi = w.Engine.ib_fi.(w.Engine.ib_head) in
+      Engine.ibuf_pop w;
+      let stats = t.stats in
+      let cfg = t.cfg in
+      let mshrs_alloc = ref 0 in
+      w.Engine.last_issued <- t.cycle;
+      t.issue_slots_used <- t.issue_slots_used + 1;
+      if t.issue_slots_used = 1 then t.active_pc <- idx;
+      (match t.engine.Engine.on_issue ~cycle:t.cycle w op with
+      | Engine.Drop ->
+        (* Eliminated at issue (UV): consumed fetch/decode and an issue
+           slot but no execution resources; the reuse-buffer value is
+           available to dependents next cycle. *)
+        stats.Stats.dropped_issue <- stats.Stats.dropped_issue + 1;
+        (match t.pcstat with Some p -> Obs.Pcstat.note_drop p ~pc:idx | None -> ());
+        emit t ~warp:w.Engine.wid Obs.Event.Drop_at_issue;
+        count_elim stats kinfo.Kinfo.shape.(idx);
+        (match kinfo.Kinfo.dst_reg.(idx) with
+        | Some d ->
+          w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
+          w.Engine.pending_count <- w.Engine.pending_count + 1;
           t.slots.(w.Engine.tb_slot).inflight_ops <-
             t.slots.(w.Engine.tb_slot).inflight_ops + 1;
-          add_inflight ~mshrs:!mshrs_alloc t w op ~finish;
-          (* Deferred DRAM: bind the queued request to the in-flight
-             record just consed so [commit_epoch] can patch its real
-             completion cycle in. *)
-          (match t.dram_patch with
-          | Some req ->
-            req.dq_fly <- Some (List.hd t.inflight);
-            t.dram_patch <- None
-          | None -> ()));
-        true
-      end
+          ignore (add_inflight t w ~fi ~finish:(t.cycle + 1) ~mshrs:0)
+        | None -> ())
+      | Engine.Execute ->
+        stats.Stats.issued <- stats.Stats.issued + 1;
+        (match t.pcstat with Some p -> Obs.Pcstat.note_issue p ~pc:idx | None -> ());
+        stats.Stats.executed_threads <-
+          stats.Stats.executed_threads + popcount op.Record.active;
+        emit t ~warp:w.Engine.wid Obs.Event.Issue;
+        (* Register file reads and bank conflicts. *)
+        let conflicts = read_banks t w 0 kinfo.Kinfo.src_regs.(idx) in
+        stats.Stats.rf_bank_conflicts <- stats.Stats.rf_bank_conflicts + conflicts;
+        if collector >= 0 then t.collectors.(collector) <- t.cycle + 2 + conflicts;
+        let finish =
+          match unit_class with
+          | Kinfo.Alu ->
+            stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
+            t.cycle + cfg.Config.alu_lat + conflicts
+          | Kinfo.Ctrl ->
+            if kinfo.Kinfo.is_barrier.(idx) then w.Engine.at_barrier <- true
+            else if kinfo.Kinfo.is_branch.(idx) && cfg.Config.sync_at_branches
+            then w.Engine.at_barrier <- true;
+            if w.Engine.at_barrier then begin
+              (* the issue guard rejects warps already at a barrier, so
+                 this transition is always false -> true *)
+              t.slots.(w.Engine.tb_slot).n_at_barrier <-
+                t.slots.(w.Engine.tb_slot).n_at_barrier + 1;
+              assert (
+                t.slots.(w.Engine.tb_slot).n_at_barrier
+                = count_at_barrier t w.Engine.tb_slot);
+              t.last_barrier_pc <- idx;
+              emit t ~warp:w.Engine.wid Obs.Event.Barrier_arrive
+            end;
+            t.cycle + cfg.Config.alu_lat
+          | Kinfo.Sfu ->
+            t.sfu_left <- t.sfu_left - 1;
+            stats.Stats.sfu_ops <- stats.Stats.sfu_ops + 1;
+            t.cycle + cfg.Config.sfu_lat + conflicts
+          | Kinfo.Mem_shared ->
+            t.mem_left <- t.mem_left - 1;
+            stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
+            emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
+            let banks =
+              if cfg.Config.smem_banks > 0 then cfg.Config.smem_banks
+              else cfg.Config.warp_size
+            in
+            let sc = Mem_model.shared_conflicts t.scratch ~banks op.Record.accesses in
+            stats.Stats.shared_accesses <- stats.Stats.shared_accesses + 1 + sc;
+            stats.Stats.shared_bank_conflicts <-
+              stats.Stats.shared_bank_conflicts + sc;
+            (* Conflict replay: the shared port stays busy while the
+               [sc] replay passes serialize; the gate above keeps
+               further shared accesses out until it frees. *)
+            if cfg.Config.smem_banks > 0 && sc > 0 then begin
+              t.smem_replay_until <- t.cycle + sc;
+              t.smem_replay_pc <- idx;
+              stats.Stats.smem_replay_cycles <- stats.Stats.smem_replay_cycles + sc
+            end;
+            t.cycle + cfg.Config.shared_lat + sc + conflicts
+          | Kinfo.Mem_global ->
+            t.mem_left <- t.mem_left - 1;
+            stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
+            emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
+            let nlines =
+              Mem_model.coalesce t.scratch ~line_bytes:cfg.Config.l1_line
+                op.Record.accesses
+            in
+            if kinfo.Kinfo.is_atomic.(idx) then begin
+              (* Atomics bypass the L1 and serialize at DRAM. *)
+              t.engine.Engine.on_store ~atomic:true w;
+              stats.Stats.dram_transactions <- stats.Stats.dram_transactions + nlines;
+              emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
+              dram_request t ~now:(t.cycle + cfg.Config.l1_lat) ~ntxns:nlines
+            end
+            else if kinfo.Kinfo.is_store.(idx) then begin
+              (* Write-through, no-allocate: stores drain to DRAM and do
+                 not stall the pipeline. *)
+              t.engine.Engine.on_store ~atomic:false w;
+              stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
+              stats.Stats.dram_transactions <- stats.Stats.dram_transactions + nlines;
+              emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
+              ignore
+                (dram_request t ~now:(t.cycle + cfg.Config.l1_lat) ~ntxns:nlines);
+              (* the store's own finish is latency-independent of DRAM;
+                 the queued request only matters for channel ordering *)
+              t.dram_patch <- -1;
+              t.cycle + cfg.Config.alu_lat
+            end
+            else begin
+              stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
+              let misses = ref 0 in
+              for k = 0 to nlines - 1 do
+                if not (Mem_model.L1.access t.l1 (Mem_model.scratch_get t.scratch k))
+                then incr misses
+              done;
+              let misses = !misses in
+              stats.Stats.l1_misses <- stats.Stats.l1_misses + misses;
+              if misses = 0 then t.cycle + cfg.Config.l1_lat + nlines - 1 + conflicts
+              else begin
+                (* the gate guaranteed at least one free MSHR; the
+                   load allocates one per missed line, released at
+                   writeback *)
+                if cfg.Config.mshrs > 0 then mshrs_alloc := misses;
+                stats.Stats.dram_transactions <- stats.Stats.dram_transactions + misses;
+                emit t ~warp:w.Engine.wid Obs.Event.L1_miss;
+                emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
+                dram_request t ~now:(t.cycle + cfg.Config.l1_lat) ~ntxns:misses
+              end
+            end
+        in
+        (match (unit_class, t.pcstat) with
+        | (Kinfo.Mem_global | Kinfo.Mem_shared), Some p ->
+          Obs.Pcstat.note_mem_latency p ~pc:idx ~lat:(finish - t.cycle)
+        | _ -> ());
+        (* Track every executed op for TB retirement; register release
+           happens at writeback only for ops that write one. *)
+        (match kinfo.Kinfo.dst_reg.(idx) with
+        | Some d ->
+          w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
+          w.Engine.pending_count <- w.Engine.pending_count + 1
+        | None -> ());
+        t.slots.(w.Engine.tb_slot).inflight_ops <-
+          t.slots.(w.Engine.tb_slot).inflight_ops + 1;
+        let slot = add_inflight t w ~fi ~finish ~mshrs:!mshrs_alloc in
+        (* Deferred DRAM: bind the queued request to the in-flight
+           slot just added so [commit_epoch] can patch its real
+           completion cycle in. *)
+        if t.dram_patch >= 0 then begin
+          t.dq_slot.(t.dram_patch) <- slot;
+          t.dram_patch <- -1
+        end);
+      refresh_head t w;
+      true
+    end
+  end
 
-(* Candidates: warps with an issueable head. Top-level (not a per-cycle
-   closure) so the issue stage allocates nothing on the steady path. *)
+(* Candidates: warps with an issueable head. *)
+(* An aged I-buffer head ([head_at]) that clears the scoreboard. *)
 let issueable t wid =
-  match t.warps.(wid) with
-  | Some w when not w.Engine.at_barrier -> (
-    match Queue.peek_opt w.Engine.ibuf with
-    | Some (op, fc) ->
-      fc < t.cycle
-      && scoreboard_ready w t.kinfo op.Record.idx
-      (* structural memory gates (MSHR / replay port) hide the warp from
-         the schedulers so GTO moves on instead of sticking to it *)
-      && not (mem_struct_blocked t w op.Record.idx)
-    | None -> false)
-  | _ -> false
+  t.head_at.(wid) < t.cycle
+  &&
+  let w = warp_of t wid in
+  let idx = (head_op w).Record.idx in
+  head_ready t w
+  (* structural memory gates (MSHR / replay port) hide the warp from
+     the schedulers so GTO moves on instead of sticking to it *)
+  && not (mem_struct_blocked t w idx)
 
 let pick_warp t sched =
   let cfg = t.cfg in
@@ -765,13 +991,12 @@ let pick_warp t sched =
     if g >= 0 && g mod cfg.Config.num_schedulers = sched && issueable t g
     then g
     else begin
-      let found = ref (-1) in
-      let wid = ref sched in
-      while !found < 0 && !wid < nw do
-        if issueable t !wid then found := !wid;
-        wid := !wid + cfg.Config.num_schedulers
+      let ws = t.sched_wid.(sched) and n = t.sched_n.(sched) in
+      let k = ref 0 in
+      while !k < n && not (issueable t ws.(!k)) do
+        incr k
       done;
-      !found
+      if !k < n then ws.(!k) else -1
     end
   | Config.Lrr ->
     (* Loose round robin: resume scanning after the last pick. *)
@@ -796,9 +1021,8 @@ let pick_warp t sched =
 let issue t =
   Array.fill t.bank_use 0 (Array.length t.bank_use) 0;
   let cfg = t.cfg in
-  let budget =
-    { mem_left = cfg.Config.mem_per_cycle; sfu_left = cfg.Config.sfu_per_cycle }
-  in
+  t.mem_left <- cfg.Config.mem_per_cycle;
+  t.sfu_left <- cfg.Config.sfu_per_cycle;
   for sched = 0 to cfg.Config.num_schedulers - 1 do
     match pick_warp t sched with
     | -1 -> t.greedy.(sched) <- -1
@@ -808,9 +1032,7 @@ let issue t =
       | None -> ()
       | Some w ->
         let issued = ref 0 in
-        while
-          !issued < cfg.Config.issue_per_scheduler && try_issue_head t budget w
-        do
+        while !issued < cfg.Config.issue_per_scheduler && try_issue_head t w do
           incr issued
         done)
   done
@@ -847,8 +1069,8 @@ let fetch t =
         when (not w.Engine.finished)
              && (not w.Engine.at_barrier)
              && t.cycle >= w.Engine.fetch_ready_at
-             && Queue.length w.Engine.ibuf < cfg.Config.ibuf_depth
-             && (not (Engine.warp_done w))
+             && w.Engine.ib_len < cfg.Config.ibuf_depth
+             && (not (warp_done w))
              && t.engine.Engine.can_fetch w -> begin
         (* Fetch a bundle of up to [issue_width] sequential instructions
            from the selected warp in this one cycle (dual-issue
@@ -864,31 +1086,22 @@ let fetch t =
         while !continue_slot do
           continue_slot := false;
           (* Zero-cost stream removal (DAC-IDEAL). *)
-          let continue_removing = ref true in
-          while !continue_removing do
-            match Engine.next_op w with
-            | Some op when t.engine.Engine.remove_at_fetch w op ->
-              t.fetch_mutated <- true;
-              if t.kinfo.Kinfo.marked_eligible.(op.Record.idx) then
-                Obs.Ledger.note t.ledger ~pc:op.Record.idx Obs.Ledger.Skipped;
-              w.Engine.fi <- w.Engine.fi + 1;
-              t.stats.Stats.skipped_prefetch <-
-                t.stats.Stats.skipped_prefetch + 1;
-              pc_note t (fun p -> Obs.Pcstat.note_skip p ~pc:op.Record.idx);
-              emit t ~warp:w.Engine.wid Obs.Event.Skip_prefetch;
-              (match t.kinfo.Kinfo.shape.(op.Record.idx) with
-              | Darsie_compiler.Marking.Uniform ->
-                t.stats.Stats.elim_uniform <- t.stats.Stats.elim_uniform + 1
-              | Darsie_compiler.Marking.Affine ->
-                t.stats.Stats.elim_affine <- t.stats.Stats.elim_affine + 1
-              | Darsie_compiler.Marking.Unstructured
-              | Darsie_compiler.Marking.Varying ->
-                t.stats.Stats.elim_unstructured <-
-                  t.stats.Stats.elim_unstructured + 1)
-            | _ -> continue_removing := false
+          while
+            (not (warp_done w))
+            && t.engine.Engine.remove_at_fetch w w.Engine.trace.(w.Engine.fi)
+          do
+            let idx = w.Engine.trace.(w.Engine.fi).Record.idx in
+            t.fetch_mutated <- true;
+            if t.kinfo.Kinfo.marked_eligible.(idx) then
+              Obs.Ledger.note t.ledger ~pc:idx Obs.Ledger.Skipped;
+            w.Engine.fi <- w.Engine.fi + 1;
+            t.stats.Stats.skipped_prefetch <- t.stats.Stats.skipped_prefetch + 1;
+            (match t.pcstat with Some p -> Obs.Pcstat.note_skip p ~pc:idx | None -> ());
+            emit t ~warp:w.Engine.wid Obs.Event.Skip_prefetch;
+            count_elim t.stats t.kinfo.Kinfo.shape.(idx)
           done;
-          match Engine.next_op w with
-          | Some op ->
+          if not (warp_done w) then begin
+            let op = w.Engine.trace.(w.Engine.fi) in
             if not !slot_used then begin
               slot_used := true;
               incr fetched
@@ -897,16 +1110,19 @@ let fetch t =
             let pc = Darsie_isa.Kernel.pc_of_index op.Record.idx in
             if Mem_model.L1.access t.icache pc then begin
               t.stats.Stats.fetched <- t.stats.Stats.fetched + 1;
-              pc_note t (fun p -> Obs.Pcstat.note_fetch p ~pc:op.Record.idx);
+              (match t.pcstat with
+              | Some p -> Obs.Pcstat.note_fetch p ~pc:op.Record.idx
+              | None -> ());
               emit t ~warp:w.Engine.wid Obs.Event.Fetch;
               note_exec_fate t w op;
-              Queue.push (op, t.cycle) w.Engine.ibuf;
+              Engine.ibuf_push w ~cycle:t.cycle;
+              refresh_head t w;
               w.Engine.fi <- w.Engine.fi + 1;
               decr bundle_left;
               if
                 !bundle_left > 0
-                && Queue.length w.Engine.ibuf < cfg.Config.ibuf_depth
-                && (not (Engine.warp_done w))
+                && w.Engine.ib_len < cfg.Config.ibuf_depth
+                && (not (warp_done w))
                 (* [can_fetch] is stale once [fi] moved: the follower
                    slot must re-consult the engine at the new cursor, or
                    a warp could fetch past a branch sync it never
@@ -920,7 +1136,7 @@ let fetch t =
               emit t ~warp:w.Engine.wid Obs.Event.Icache_miss;
               w.Engine.fetch_ready_at <- t.cycle + cfg.Config.icache_miss_lat
             end
-          | None -> ()
+          end
         done;
         if !slot_used then t.fetch_ptr <- (!ptr + 1) mod nw
       end
@@ -936,51 +1152,83 @@ let fetch t =
 (* Stall-cycle attribution                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* PC of the in-flight memory op finishing soonest for warp [w] (or for
-   any warp when [w] is [None]); the instruction a memory-bound cycle is
-   most fairly blamed on. -1 when nothing qualifies. Ties on the finish
-   cycle break toward the lower PC so the blame is independent of the
-   in-flight list's order — a requirement for fast-forward bit-identity,
-   since the stepped path rebuilds (and reorders) the list per cycle. *)
-let nearest_inflight_pc ?w t =
+(* PC of the in-flight memory op finishing soonest for warp [w] (or of
+   any in-flight op when [w] is [no_warp]); the instruction a
+   memory-bound cycle is most fairly blamed on. -1 when nothing
+   qualifies. Ties on the finish cycle break toward the lower PC so the
+   blame is independent of the in-flight pool's order. *)
+let nearest_inflight_pc t (w : Engine.wctx) =
+  let any = w == no_warp in
+  let fly = t.fly in
   let best_fin = ref max_int in
   let best_pc = ref (-1) in
-  List.iter
-    (fun f ->
-      let mine = match w with None -> true | Some w -> f.fly_warp == w in
-      let is_mem = is_mem_class t f.fly_op.Record.idx in
-      if mine && (w = None || is_mem) then begin
-        let pc = f.fly_op.Record.idx in
-        if
-          f.finish < !best_fin
-          || (f.finish = !best_fin && (pc < !best_pc || !best_pc < 0))
-        then begin
-          best_fin := f.finish;
-          best_pc := pc
-        end
-      end)
-    t.inflight;
+  for i = 0 to fly.Inflight.n - 1 do
+    let s = fly.Inflight.heap_slot.(i) in
+    let wid = fly.Inflight.wid.(s) in
+    if any || wid = w.Engine.wid then begin
+      let pc = (warp_of t wid).Engine.trace.(fly.Inflight.fi.(s)).Record.idx in
+      let fin = fly.Inflight.finish.(s) in
+      if
+        (any || is_mem_class t pc)
+        && (fin < !best_fin || (fin = !best_fin && (pc < !best_pc || !best_pc < 0)))
+      then begin
+        best_fin := fin;
+        best_pc := pc
+      end
+    end
+  done;
   !best_pc
 
 let head_pc (w : Engine.wctx) =
-  match Queue.peek_opt w.Engine.ibuf with
-  | Some (op, _) -> op.Record.idx
-  | None -> -1
+  if w.Engine.ib_len > 0 then (head_op w).Record.idx else -1
 
 let next_pc (w : Engine.wctx) =
-  match Engine.next_op w with Some op -> op.Record.idx | None -> -1
+  if warp_done w then -1 else w.Engine.trace.(w.Engine.fi).Record.idx
+
+let classified t bucket pc =
+  t.cls_bucket <- bucket;
+  t.cls_pc <- pc
+
+(* A resident warp that still has work and is not parked at a barrier,
+   whose I-buffer head was fetched before this cycle: the issue stage
+   considered it this cycle and rejected it. *)
+let aged_head t (w : Engine.wctx) =
+  (not (warp_drained w))
+  && (not w.Engine.at_barrier)
+  && w.Engine.ib_len > 0
+  && head_cycle w < t.cycle
+
+(* An aged head waiting on an operand while its warp has memory in
+   flight. *)
+let mem_blocked t (w : Engine.wctx) =
+  aged_head t w
+  && (not (head_ready t w))
+  && w.Engine.mem_inflight > 0
+
+(* An aged, scoreboard-ready head held back by a structural memory
+   gate. *)
+let struct_blocked t (w : Engine.wctx) =
+  aged_head t w
+  &&
+  let idx = (head_op w).Record.idx in
+  head_ready t w && mem_struct_blocked t w idx
+
+(* A warp with nothing buffered that the engine will not let fetch. *)
+let fetch_gated t (w : Engine.wctx) =
+  (not (warp_drained w))
+  && (not w.Engine.at_barrier)
+  && w.Engine.ib_len = 0
+  && not (t.engine.Engine.can_fetch w)
 
 (* Classify one cycle into exactly one Attrib bucket, and name the static
-   instruction blocking progress (-1 = the none-row). Called at the end
-   of [step], so "aged" I-buffer heads (fetch_cycle < cycle) are exactly
-   the ones the issue stage considered and rejected this cycle. Pcstat
-   and Attrib are both fed from this single result, which is what makes
-   the per-PC table conservative by construction. *)
-(* The non-issuing-cycle half of the classification, shared by [step]
-   and the fast-forward bulk charge. Allocation-free: the old list
-   builds ([runnable], [aged_blocked]) are replaced by direct scans over
-   the warp array in the same order, so the chosen bucket and blocking
-   PC are identical. *)
+   instruction blocking progress (-1 = the none-row), into [cls_bucket]
+   and [cls_pc]. Called at the end of [step], so "aged" I-buffer heads
+   (fetch_cycle < cycle) are exactly the ones the issue stage considered
+   and rejected this cycle. Pcstat and Attrib are both fed from this
+   single result, which is what makes the per-PC table conservative by
+   construction. This is the non-issuing-cycle half of the
+   classification, shared by [step] and the fast-forward bulk charge;
+   each search is a direct scan over the warp array in slot order. *)
 let classify_stall t =
   let nw = Array.length t.warps in
   let any_runnable = ref false in
@@ -997,110 +1245,68 @@ let classify_stall t =
     | _ -> ()
   done;
   if not !any_runnable then
-    if t.inflight <> [] then (Obs.Attrib.Mem_pending, nearest_inflight_pc t)
-    else (Obs.Attrib.Idle, -1)
-  else if !all_barrier then (Obs.Attrib.Barrier, t.last_barrier_pc)
+    if t.fly.Inflight.n > 0 then
+      classified t Obs.Attrib.Mem_pending (nearest_inflight_pc t no_warp)
+    else classified t Obs.Attrib.Idle (-1)
+  else if !all_barrier then classified t Obs.Attrib.Barrier t.last_barrier_pc
   else begin
     (* Warps whose head instruction was old enough to issue but did not:
        operand (scoreboard) or issue-resource blocked. *)
-    let first_aged = ref (-1) in
-    let i = ref 0 in
-    while !first_aged < 0 && !i < nw do
-      (match t.warps.(!i) with
-      | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
-        match Queue.peek_opt w.Engine.ibuf with
-        | Some (_, fc) when fc < t.cycle -> first_aged := !i
-        | _ -> ())
-      | _ -> ());
-      incr i
+    let first_aged = ref 0 in
+    while !first_aged < nw && not (aged_head t (warp_of t !first_aged)) do
+      incr first_aged
     done;
-    if !first_aged >= 0 then begin
-      let mem_w = ref None in
-      let i = ref !first_aged in
-      while !mem_w = None && !i < nw do
-        (match t.warps.(!i) with
-        | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
-          match Queue.peek_opt w.Engine.ibuf with
-          | Some (op, fc)
-            when fc < t.cycle
-                 && (not (scoreboard_ready w t.kinfo op.Record.idx))
-                 && w.Engine.mem_inflight > 0 ->
-            mem_w := Some w
-          | _ -> ())
-        | _ -> ());
+    if !first_aged < nw then begin
+      let first_aged = !first_aged in
+      let i = ref first_aged in
+      while !i < nw && not (mem_blocked t (warp_of t !i)) do
         incr i
       done;
-      match !mem_w with
-      | Some w -> (Obs.Attrib.Mem_pending, nearest_inflight_pc ~w t)
-      | None ->
+      if !i < nw then
+        classified t Obs.Attrib.Mem_pending (nearest_inflight_pc t (warp_of t !i))
+      else begin
         (* Structural memory gates (fidelity knobs): an aged head that
            cleared the scoreboard but was held back by a full MSHR file
            or the busy shared replay port. The scan is skipped entirely
            at the default knob settings, where the gate is constant
            false, so the classification is unchanged. *)
-        let struct_w = ref None in
+        let i = ref nw in
         if t.cfg.Config.mshrs > 0 || t.cfg.Config.smem_banks > 0 then begin
-          let i = ref !first_aged in
-          while !struct_w = None && !i < nw do
-            (match t.warps.(!i) with
-            | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
-              match Queue.peek_opt w.Engine.ibuf with
-              | Some (op, fc)
-                when fc < t.cycle
-                     && scoreboard_ready w t.kinfo op.Record.idx
-                     && mem_struct_blocked t w op.Record.idx ->
-                struct_w := Some (w, op.Record.idx)
-              | _ -> ())
-            | _ -> ());
+          i := first_aged;
+          while !i < nw && not (struct_blocked t (warp_of t !i)) do
             incr i
           done
         end;
-        (match !struct_w with
-        | Some (w, idx) ->
+        if !i < nw then begin
           (* blame the access occupying the port, or the nearest of the
              warp's own in-flight misses holding its MSHRs *)
+          let w = warp_of t !i in
           let pc =
-            match t.kinfo.Kinfo.unit_of.(idx) with
+            match t.kinfo.Kinfo.unit_of.((head_op w).Record.idx) with
             | Kinfo.Mem_shared -> t.smem_replay_pc
-            | _ -> nearest_inflight_pc ~w t
+            | _ -> nearest_inflight_pc t w
           in
-          (Obs.Attrib.Mem_struct, pc)
-        | None ->
-          let pc =
-            match t.warps.(!first_aged) with
-            | Some w -> head_pc w
-            | None -> -1
-          in
-          (Obs.Attrib.Scoreboard, pc))
+          classified t Obs.Attrib.Mem_struct pc
+        end
+        else classified t Obs.Attrib.Scoreboard (head_pc (warp_of t first_aged))
+      end
     end
     else begin
-      let gated = ref None in
       let i = ref 0 in
-      while !gated = None && !i < nw do
-        (match t.warps.(!i) with
-        | Some w
-          when (not (warp_drained w))
-               && (not w.Engine.at_barrier)
-               && Queue.is_empty w.Engine.ibuf
-               && not (t.engine.Engine.can_fetch w) ->
-          gated := Some w
-        | _ -> ());
+      while !i < nw && not (fetch_gated t (warp_of t !i)) do
         incr i
       done;
-      match !gated with
-      | Some w -> (Obs.Attrib.Darsie_sync, next_pc w)
-      | None ->
-        let pc =
-          match t.warps.(!first_nonbarrier) with
-          | Some w -> (match head_pc w with -1 -> next_pc w | p -> p)
-          | None -> -1
-        in
-        (Obs.Attrib.Fetch_starved, pc)
+      if !i < nw then classified t Obs.Attrib.Darsie_sync (next_pc (warp_of t !i))
+      else begin
+        let w = warp_of t !first_nonbarrier in
+        let pc = match head_pc w with -1 -> next_pc w | p -> p in
+        classified t Obs.Attrib.Fetch_starved pc
+      end
     end
   end
 
 let classify_cycle t =
-  if t.issue_slots_used > 0 then (Obs.Attrib.Active, t.active_pc)
+  if t.issue_slots_used > 0 then classified t Obs.Attrib.Active t.active_pc
   else classify_stall t
 
 let step t =
@@ -1110,7 +1316,7 @@ let step t =
   writeback t;
   barriers_and_retirement t;
   issue t;
-  if Obs.Sink.enabled t.sink then begin
+  if t.tracing then begin
     (* The engine's skip phase mutates counters internally; emit the
        per-cycle deltas as aggregate (warp = -1) events. *)
     let sp0 = t.stats.Stats.skipped_prefetch in
@@ -1125,9 +1331,11 @@ let step t =
   end
   else t.engine.Engine.cycle_skip ~cycle:t.cycle;
   fetch t;
-  let bucket, blocking_pc = classify_cycle t in
-  Obs.Attrib.bump t.attr bucket;
-  pc_note t (fun p -> Obs.Pcstat.charge p ~pc:blocking_pc bucket);
+  classify_cycle t;
+  Obs.Attrib.bump t.attr t.cls_bucket;
+  (match t.pcstat with
+  | Some p -> Obs.Pcstat.charge p ~pc:t.cls_pc t.cls_bucket
+  | None -> ());
   (* Sharded-loop watchdog bookkeeping: remember the last cycle this SM
      fetched, issued, dropped or skipped anything (mirrors the serial
      loop's global [progress_token] comparison). *)
@@ -1182,8 +1390,7 @@ let next_event_cycle t =
   else begin
     let now1 = t.cycle + 1 in
     let wake = ref max_int in
-    let note c = if c < !wake then wake := c in
-    if t.inflight <> [] then note (max now1 t.next_wb);
+    if t.fly.Inflight.n > 0 then wake := imax now1 t.next_wb;
     (* Fidelity-knob event sources. MSHR entries free at writeback, so
        their releases ride on [next_wb] above. The shared replay port
        frees the cycle after [smem_replay_until]; noting it bounds any
@@ -1192,61 +1399,56 @@ let next_event_cycle t =
        pins the wake to [now1] whenever a warp is actually waiting —
        this source only matters when the port drains unobserved.) *)
     if t.smem_replay_until > t.cycle then
-      note (max now1 (t.smem_replay_until + 1));
+      wake := imin !wake (imax now1 (t.smem_replay_until + 1));
     let wpt = t.warps_per_tb in
-    Array.iteri
-      (fun slot_idx slot ->
-        if slot.occupied && !wake > now1 then begin
-          let base = slot_idx * wpt in
-          let all_drained = ref true in
-          let all_arrived = ref true in
-          (* Once the wake is [now1] no later source can improve it; the
-             remaining per-warp checks (and, harmlessly, the barrier and
-             retirement notes below, which can only yield >= now1) are
-             skipped. *)
-          let k = ref 0 in
-          while !k < wpt && !wake > now1 do
-            (match t.warps.(base + !k) with
-            | None -> ()
-            | Some w ->
-              let drained = warp_drained w in
-              if not drained then begin
-                all_drained := false;
-                if not w.Engine.at_barrier then begin
-                  all_arrived := false;
-                  (* issue side: every buffered head is aged by the next
-                     cycle, so a scoreboard-ready head can issue then *)
-                  (match Queue.peek_opt w.Engine.ibuf with
-                  | Some (op, _) ->
-                    if scoreboard_ready w t.kinfo op.Record.idx then
-                      note now1
-                  | None -> ());
-                  (* fetch side *)
-                  if
-                    !wake > now1
-                    && Queue.length w.Engine.ibuf < t.cfg.Config.ibuf_depth
-                    && (not (Engine.warp_done w))
-                    && t.engine.Engine.can_fetch w
-                  then note (max now1 w.Engine.fetch_ready_at)
-                end
-              end);
-            incr k
-          done;
-          if slot.n_at_barrier > 0 then begin
-            if slot.barrier_release_at >= 0 then
-              note (max now1 slot.barrier_release_at)
-            else if !all_arrived then note now1
-          end
-          else if slot.inflight_ops = 0 && !all_drained then
-            (* retirement pending: the next step frees the slot and may
-               trigger a TB launch *)
-            note now1
-        end)
-      t.slots;
+    for slot_idx = 0 to Array.length t.slots - 1 do
+      let slot = t.slots.(slot_idx) in
+      if slot.occupied && !wake > now1 then begin
+        let base = slot_idx * wpt in
+        let all_drained = ref true in
+        let all_arrived = ref true in
+        (* Once the wake is [now1] no later source can improve it; the
+           remaining per-warp checks (and, harmlessly, the barrier and
+           retirement notes below, which can only yield >= now1) are
+           skipped. *)
+        let k = ref 0 in
+        while !k < wpt && !wake > now1 do
+          (match t.warps.(base + !k) with
+          | Some w when not (warp_drained w) ->
+            all_drained := false;
+            if not w.Engine.at_barrier then begin
+              all_arrived := false;
+              (* issue side: every buffered head is aged by the next
+                 cycle, so a scoreboard-ready head can issue then *)
+              if
+                w.Engine.ib_len > 0
+                && head_ready t w
+              then wake := now1
+              (* fetch side *)
+              else if
+                w.Engine.ib_len < t.cfg.Config.ibuf_depth
+                && (not (warp_done w))
+                && t.engine.Engine.can_fetch w
+              then wake := imin !wake (imax now1 w.Engine.fetch_ready_at)
+            end
+          | _ -> ());
+          incr k
+        done;
+        if slot.n_at_barrier > 0 then begin
+          if slot.barrier_release_at >= 0 then
+            wake := imin !wake (imax now1 slot.barrier_release_at)
+          else if !all_arrived then wake := now1
+        end
+        else if slot.inflight_ops = 0 && !all_drained then
+          (* retirement pending: the next step frees the slot and may
+             trigger a TB launch *)
+          wake := now1
+      end
+    done;
     (match t.series with
     | Some s ->
       let interval = Obs.Series.interval s in
-      note (((t.cycle / interval) + 1) * interval)
+      wake := imin !wake (((t.cycle / interval) + 1) * interval)
     | None -> ());
     !wake
   end
@@ -1263,21 +1465,23 @@ let fast_forward t ~to_ =
   if span > 0 then begin
     let landing = t.cycle in
     t.cycle <- landing + 1;
-    let bucket, blocking_pc = classify_stall t in
+    classify_stall t;
     t.cycle <- to_;
     t.stats.Stats.cycles <- to_;
-    Obs.Attrib.bump_n t.attr bucket span;
-    pc_note t (fun p -> Obs.Pcstat.charge_n p ~pc:blocking_pc bucket ~n:span);
+    Obs.Attrib.bump_n t.attr t.cls_bucket span;
+    (match t.pcstat with
+    | Some p -> Obs.Pcstat.charge_n p ~pc:t.cls_pc t.cls_bucket ~n:span
+    | None -> ());
     (* the stepped path bumps these once per no-progress cycle *)
     if Array.length t.warps > 0 then
       t.stats.Stats.fetch_stall_cycles <-
         t.stats.Stats.fetch_stall_cycles + span;
-    Array.iter
-      (fun slot ->
-        if slot.occupied && slot.n_at_barrier > 0 then
-          t.stats.Stats.barrier_stall_cycles <-
-            t.stats.Stats.barrier_stall_cycles + (span * slot.n_at_barrier))
-      t.slots;
+    for i = 0 to Array.length t.slots - 1 do
+      let slot = t.slots.(i) in
+      if slot.occupied && slot.n_at_barrier > 0 then
+        t.stats.Stats.barrier_stall_cycles <-
+          t.stats.Stats.barrier_stall_cycles + (span * slot.n_at_barrier)
+    done;
     (* Every skipped cycle is issue-less, and the stepped path resets
        each scheduler's greedy pick on issue-less cycles: without this
        a stale greedy warp would beat a lower, equally-ready warp out
@@ -1309,41 +1513,42 @@ let last_progress t = t.last_progress
    channel observes requests ordered by (issue cycle, SM index, per-SM
    issue sequence). Each deferred request carries [dq_now] =
    issue cycle + l1_lat — the same constant offset for every site — so
-   sorting by [dq_now] recovers the cycle order, a stable sort over the
-   sm_id-ordered concatenation breaks ties by SM index, and each per-SM
-   queue is already in issue order (reversed from the cons list).
-   Returns the number of requests replayed (for telemetry). *)
+   each per-SM queue is already sorted by it, and a merge that takes the
+   smallest [dq_now] at the queue heads, ties to the lower SM index,
+   recovers the serial order. Returns the number of requests replayed
+   (for telemetry). *)
 let commit_epoch ~dram sms =
-  let runs = ref [] in
-  Array.iter
-    (fun t ->
-      if t.dram_q <> [] then begin
-        (* cons list -> issue order *)
-        runs := List.rev t.dram_q :: !runs;
-        t.dram_q <- []
-      end)
-    sms;
-  (* sm_id-ordered concatenation of issue-ordered runs *)
-  let reqs = List.concat (List.rev !runs) in
-  match reqs with
-  | [] -> 0
-  | _ ->
-    let ordered =
-      List.stable_sort (fun a b -> compare (a.dq_now : int) b.dq_now) reqs
-    in
-    List.iter
-      (fun req ->
-        let finish = Mem_model.Dram.request dram ~now:req.dq_now ~ntxns:req.dq_ntxns in
-        match req.dq_fly with
-        | Some fly -> fly.finish <- finish
-        | None -> ())
-      ordered;
-    (* Placeholder finishes were [max_int], which never lowered
-       [next_wb]; recompute it from the patched list. *)
+  let replayed = ref 0 in
+  let merging = ref true in
+  while !merging do
+    let best = ref (-1) and best_now = ref max_int in
+    for i = 0 to Array.length sms - 1 do
+      let t = sms.(i) in
+      if t.dq_pos < t.n_dq && t.dq_now.(t.dq_pos) < !best_now then begin
+        best := i;
+        best_now := t.dq_now.(t.dq_pos)
+      end
+    done;
+    if !best < 0 then merging := false
+    else begin
+      let t = sms.(!best) in
+      let q = t.dq_pos in
+      t.dq_pos <- q + 1;
+      let finish =
+        Mem_model.Dram.request dram ~now:t.dq_now.(q) ~ntxns:t.dq_ntxns.(q)
+      in
+      if t.dq_slot.(q) >= 0 then t.fly.Inflight.finish.(t.dq_slot.(q)) <- finish;
+      incr replayed
+    end
+  done;
+  if !replayed > 0 then
     Array.iter
       (fun t ->
-        if t.inflight <> [] then
-          t.next_wb <-
-            List.fold_left (fun acc f -> min acc f.finish) max_int t.inflight)
+        t.n_dq <- 0;
+        t.dq_pos <- 0;
+        (* Placeholder finishes were [max_int], which never lowered
+           [next_wb]; re-heap the patched pool and read it off. *)
+        Inflight.reheap t.fly;
+        t.next_wb <- Inflight.next_finish t.fly)
       sms;
-    List.length ordered
+  !replayed

@@ -14,34 +14,115 @@ let parse = Parser.parse_kernel
 (* Coalescer                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let scratch = Mem_model.scratch ()
+
+let coalesce ~line_bytes accesses =
+  List.init
+    (Mem_model.coalesce scratch ~line_bytes accesses)
+    (Mem_model.scratch_get scratch)
+
+let shared_conflicts ~banks accesses =
+  Mem_model.shared_conflicts scratch ~banks accesses
+
 let test_coalesce () =
-  let lines = Mem_model.coalesce ~line_bytes:128 (Array.init 32 (fun i -> 4 * i)) in
+  let lines = coalesce ~line_bytes:128 (Array.init 32 (fun i -> 4 * i)) in
   check_int "consecutive words coalesce to one line" 1 (List.length lines);
-  let strided =
-    Mem_model.coalesce ~line_bytes:128 (Array.init 32 (fun i -> 128 * i))
-  in
+  let strided = coalesce ~line_bytes:128 (Array.init 32 (fun i -> 128 * i)) in
   check_int "stride-128 needs 32 transactions" 32 (List.length strided);
-  let two =
-    Mem_model.coalesce ~line_bytes:128 (Array.init 32 (fun i -> 64 + (4 * i)))
-  in
+  let two = coalesce ~line_bytes:128 (Array.init 32 (fun i -> 64 + (4 * i))) in
   check_int "misaligned spans two lines" 2 (List.length two);
-  check_int "empty" 0 (List.length (Mem_model.coalesce ~line_bytes:128 [||]));
+  check_int "empty" 0 (List.length (coalesce ~line_bytes:128 [||]));
   Alcotest.(check (list int))
     "first-touch order" [ 0; 128 ]
-    (Mem_model.coalesce ~line_bytes:128 [| 4; 200; 8; 132 |])
+    (coalesce ~line_bytes:128 [| 4; 200; 8; 132 |])
 
 let test_shared_conflicts () =
-  check_int "broadcast is free" 0
-    (Mem_model.shared_conflicts ~banks:32 (Array.make 32 64));
+  check_int "broadcast is free" 0 (shared_conflicts ~banks:32 (Array.make 32 64));
   check_int "one word per bank" 0
-    (Mem_model.shared_conflicts ~banks:32 (Array.init 32 (fun i -> 4 * i)));
+    (shared_conflicts ~banks:32 (Array.init 32 (fun i -> 4 * i)));
   (* stride-2 words: 16 banks get 2 distinct words each *)
   check_int "2-way conflict" 1
-    (Mem_model.shared_conflicts ~banks:32 (Array.init 32 (fun i -> 8 * i)));
+    (shared_conflicts ~banks:32 (Array.init 32 (fun i -> 8 * i)));
   (* stride-32 words: all map to bank 0 *)
   check_int "32-way conflict" 31
-    (Mem_model.shared_conflicts ~banks:32 (Array.init 32 (fun i -> 128 * i)));
-  check_int "empty" 0 (Mem_model.shared_conflicts ~banks:32 [||])
+    (shared_conflicts ~banks:32 (Array.init 32 (fun i -> 128 * i)));
+  check_int "empty" 0 (shared_conflicts ~banks:32 [||])
+
+(* The hash-table implementations the scratch-buffer models replaced,
+   kept as reference oracles. *)
+module Oracle = struct
+  let coalesce ~line_bytes accesses =
+    let seen = Hashtbl.create 32 in
+    let lines = ref [] in
+    Array.iter
+      (fun addr ->
+        let line = addr - (addr mod line_bytes) in
+        if not (Hashtbl.mem seen line) then begin
+          Hashtbl.add seen line ();
+          lines := line :: !lines
+        end)
+      accesses;
+    List.rev !lines
+
+  let shared_conflicts ~banks accesses =
+    if Array.length accesses = 0 then 0
+    else begin
+      let per_bank = Hashtbl.create 64 in
+      Array.iter
+        (fun addr ->
+          let word = addr / 4 in
+          let bank = word mod banks in
+          let words =
+            Option.value ~default:[] (Hashtbl.find_opt per_bank bank)
+          in
+          if not (List.mem word words) then
+            Hashtbl.replace per_bank bank (word :: words))
+        accesses;
+      Hashtbl.fold (fun _ ws acc -> max acc (List.length ws)) per_bank 1 - 1
+    end
+end
+
+(* Warp access vectors of the shapes the memory models special-case. *)
+let access_vector =
+  let open QCheck.Gen in
+  let addr = int_bound 8192 in
+  oneof
+    [
+      return [||];
+      (* every lane on one address *)
+      map2 (fun n a -> Array.make n a) (int_range 1 32) addr;
+      (* broadcast groups: runs of lanes sharing a word *)
+      map2
+        (fun base group -> Array.init 32 (fun i -> base + (4 * (i / group))))
+        addr (oneofl [ 2; 4; 8; 16 ]);
+      (* full-warp strided *)
+      map2
+        (fun base stride -> Array.init 32 (fun i -> base + (i * stride)))
+        addr
+        (oneofl [ 4; 8; 12; 16; 36; 64; 128; 132; 256 ]);
+      array_size (int_bound 40) addr;
+    ]
+
+let print_vector a =
+  String.concat " " (Array.to_list (Array.map string_of_int a))
+
+let qcheck_coalesce =
+  QCheck.Test.make ~name:"scratch coalescer = hash-table oracle" ~count:500
+    (QCheck.make ~print:print_vector access_vector)
+    (fun a ->
+      List.for_all
+        (fun line_bytes ->
+          coalesce ~line_bytes a = Oracle.coalesce ~line_bytes a)
+        [ 32; 64; 128 ])
+
+let qcheck_shared_conflicts =
+  QCheck.Test.make ~name:"scratch bank conflicts = hash-table oracle"
+    ~count:500
+    (QCheck.make ~print:print_vector access_vector)
+    (fun a ->
+      List.for_all
+        (fun banks -> shared_conflicts ~banks a = Oracle.shared_conflicts ~banks a)
+        [ 16; 32 ])
 
 (* ------------------------------------------------------------------ *)
 (* L1 and DRAM                                                         *)
@@ -406,6 +487,132 @@ let test_engine_remove_at_fetch () =
   check_int "alu removed pre-fetch" (6 * 2 * 4) r.Gpu.stats.Stats.skipped_prefetch;
   check_int "exit still issues" (2 * 4) r.Gpu.stats.Stats.issued
 
+(* ------------------------------------------------------------------ *)
+(* I-buffer ring                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let ring_warp ~depth =
+  {
+    Engine.wid = 0;
+    tb_slot = 0;
+    tb_id = 0;
+    warp_in_tb = 0;
+    trace =
+      Array.init 64 (fun i ->
+          { Darsie_trace.Record.idx = i; occ = 0; active = 1; accesses = [||] });
+    fi = 0;
+    ib_fi = Array.make depth 0;
+    ib_cycle = Array.make depth 0;
+    ib_head = 0;
+    ib_len = 0;
+    pending = [||];
+    pending_count = 0;
+    at_barrier = false;
+    finished = false;
+    last_issued = 0;
+    fetch_ready_at = 0;
+    mem_inflight = 0;
+    mshr_used = 0;
+    fetch_ok = true;
+    parked_at = -1;
+    skip_stall = 0;
+    drop_reason = 0;
+    gave_up_at = -1;
+  }
+
+(* Drive the ring through many wraparounds with an irregular push/pop
+   pattern that keeps it within capacity, mirroring every step in a
+   [Queue] of (trace index, cycle). *)
+let test_ibuf_ring () =
+  List.iter
+    (fun depth ->
+      let w = ring_warp ~depth in
+      let model = Queue.create () in
+      for cycle = 1 to 60 do
+        if w.Engine.ib_len < depth && cycle mod 3 <> 0 then begin
+          Engine.ibuf_push w ~cycle;
+          Queue.push (w.Engine.fi, cycle) model;
+          w.Engine.fi <- w.Engine.fi + 1
+        end;
+        if w.Engine.ib_len > 0 && (cycle mod 2 = 0 || w.Engine.ib_len = depth)
+        then begin
+          let fi, c = Queue.pop model in
+          check_int "head op" fi w.Engine.ib_fi.(w.Engine.ib_head);
+          check_int "head cycle" c w.Engine.ib_cycle.(w.Engine.ib_head);
+          Engine.ibuf_pop w
+        end;
+        check_int "occupancy" (Queue.length model) w.Engine.ib_len
+      done;
+      check_bool "wrapped" true (w.Engine.fi > 2 * depth))
+    [ 1; 2; 4 ]
+
+(* The whole pipeline at every ring depth and fetch-bundle width: every
+   trace op is issued, skipped or dropped exactly once, attribution
+   holds, and fast-forwarding (which reads the ring's head from a
+   different path) agrees with stepping. *)
+let test_ibuf_depths () =
+  let w = Option.get (Darsie_workloads.Registry.find "MM") in
+  let p = w.Darsie_workloads.Workload.prepare ~scale:1 in
+  let launch = p.Darsie_workloads.Workload.launch in
+  let kinfo = Kinfo.make ~warp_size:32 launch in
+  let trace = Darsie_trace.Record.generate p.Darsie_workloads.Workload.mem launch in
+  let total = Darsie_trace.Record.total_ops trace in
+  List.iter
+    (fun (depth, width) ->
+      List.iter
+        (fun (name, factory) ->
+          let cfg =
+            { Config.default with Config.ibuf_depth = depth; issue_width = width }
+          in
+          let run cfg = Gpu.run_exn ~cfg factory kinfo trace in
+          let r = run cfg in
+          let what = Printf.sprintf "%s depth %d width %d" name depth width in
+          let s = r.Gpu.stats in
+          check_int (what ^ ": every op once") total
+            (s.Stats.issued + s.Stats.skipped_prefetch + s.Stats.dropped_issue);
+          check_bool (what ^ ": attribution") true
+            (Gpu.check_attribution r = Ok ());
+          let stepped = run { cfg with Config.fast_forward = false } in
+          check_int (what ^ ": ff cycles") stepped.Gpu.cycles r.Gpu.cycles;
+          Alcotest.(check string)
+            (what ^ ": ff stats")
+            (Format.asprintf "%a" Stats.pp stepped.Gpu.stats)
+            (Format.asprintf "%a" Stats.pp s))
+        [
+          ("BASE", Engine.base_factory);
+          ("DARSIE", Darsie_core.Darsie_engine.factory ());
+        ])
+    [ (1, 1); (1, 2); (2, 1); (2, 2); (4, 1); (4, 2) ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget of the cycle loop                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words allocated per simulated SM-cycle by [Gpu.run] alone,
+   serially, on MM at scale 1. Allocation is a deterministic function of
+   the binary, so the budget is exact on any host: a regression in the
+   per-cycle path fails here rather than showing up as noise in a wall
+   time. The budgets are one fifth of the cost before the cycle loop was
+   de-allocated: 228.6 (BASE) and 1,023.5 (DARSIE) words per SM-cycle,
+   10.47M and 28.84M words in total. *)
+let words_per_sm_cycle factory =
+  let w = Option.get (Darsie_workloads.Registry.find "MM") in
+  let p = w.Darsie_workloads.Workload.prepare ~scale:1 in
+  let launch = p.Darsie_workloads.Workload.launch in
+  let kinfo = Kinfo.make ~warp_size:32 launch in
+  let trace = Darsie_trace.Record.generate p.Darsie_workloads.Workload.mem launch in
+  let cfg = { Config.default with Config.sm_domains = 1 } in
+  let w0 = Gc.minor_words () in
+  let r = Gpu.run_exn ~cfg factory kinfo trace in
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (r.Gpu.cycles * Array.length r.Gpu.per_sm)
+
+let test_alloc_budget name factory budget () =
+  let w = words_per_sm_cycle factory in
+  if w > budget then
+    Alcotest.failf "%s allocates %.1f words per SM-cycle (budget %.0f)" name w
+      budget
+
 let () =
   Alcotest.run "darsie_timing"
     [
@@ -413,6 +620,8 @@ let () =
         [
           Alcotest.test_case "coalescer" `Quick test_coalesce;
           Alcotest.test_case "shared conflicts" `Quick test_shared_conflicts;
+          QCheck_alcotest.to_alcotest qcheck_coalesce;
+          QCheck_alcotest.to_alcotest qcheck_shared_conflicts;
           Alcotest.test_case "l1" `Quick test_l1;
           Alcotest.test_case "dram" `Quick test_dram;
         ] );
@@ -441,5 +650,18 @@ let () =
         [
           Alcotest.test_case "drop at issue" `Quick test_engine_drop_at_issue;
           Alcotest.test_case "remove at fetch" `Quick test_engine_remove_at_fetch;
+        ] );
+      ( "ibuf-ring",
+        [
+          Alcotest.test_case "wraparound vs queue" `Quick test_ibuf_ring;
+          Alcotest.test_case "depth x bundle width" `Quick test_ibuf_depths;
+        ] );
+      ( "alloc-budget",
+        [
+          Alcotest.test_case "MM BASE" `Quick
+            (test_alloc_budget "BASE" Engine.base_factory 45.);
+          Alcotest.test_case "MM DARSIE" `Quick
+            (test_alloc_budget "DARSIE" (Darsie_core.Darsie_engine.factory ())
+               204.);
         ] );
     ]
