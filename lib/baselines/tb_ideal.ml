@@ -8,8 +8,9 @@ let factory : Engine.factory =
     base with
     Engine.name = "TB-IDEAL";
     remove_at_fetch =
-      (fun w op ->
-        kinfo.Kinfo.tb_redundant.(op.Darsie_trace.Record.idx)
+      (fun w fi ->
+        let trace = w.Engine.trace in
+        kinfo.Kinfo.tb_redundant.(Darsie_trace.Record.idx trace fi)
         && w.Engine.warp_in_tb <> 0
-        && op.Darsie_trace.Record.active land full = full);
+        && Darsie_trace.Record.active trace fi land full = full);
   }

@@ -38,10 +38,19 @@ type slot_state = {
   mutable bar_arrived : int;
 }
 
-(* [Engine.warp_done], restated so it inlines on the per-warp paths
-   (modules are compiled without cross-module inlining in dune's
-   default profile). *)
-let warp_done (w : Engine.wctx) = w.Engine.fi >= Array.length w.Engine.trace
+(* [Engine.warp_done] and the [Record] op accessors, restated so they
+   inline on the per-warp paths (modules are compiled without
+   cross-module inlining in dune's default profile). *)
+let warp_done (w : Engine.wctx) = w.Engine.fi >= w.Engine.trace.Record.n
+
+let idx_mask = (1 lsl Record.idx_bits) - 1
+
+let op_idx (trace : Record.warp) fi = trace.Record.ops.(3 * fi) land idx_mask
+
+let op_occ (trace : Record.warp) fi =
+  trace.Record.ops.(3 * fi) lsr Record.idx_bits
+
+let op_active (trace : Record.warp) fi = trace.Record.ops.((3 * fi) + 1)
 
 (* Warps still producing work: a finished warp must not gate
    synchronization or register freeing. *)
@@ -60,8 +69,8 @@ let rec find_sync occ = function
   | e :: rest -> if e.sync_occ = occ then e else find_sync occ rest
 
 let successor_of (w : Engine.wctx) =
-  if w.Engine.fi + 1 < Array.length w.Engine.trace then
-    w.Engine.trace.(w.Engine.fi + 1).Record.idx
+  if w.Engine.fi + 1 < w.Engine.trace.Record.n then
+    op_idx w.Engine.trace (w.Engine.fi + 1)
   else -1
 
 let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
@@ -269,14 +278,14 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   let rec process_warp slot (w : Engine.wctx) chain =
     if warp_done w then set_ok w true
     else begin
-      let op = w.Engine.trace.(w.Engine.fi) in
-      let idx = op.Record.idx in
+      let trace = w.Engine.trace and fi = w.Engine.fi in
+      let idx = op_idx trace fi and active = op_active trace fi in
       let win = w.Engine.warp_in_tb in
-      if plain.(idx) && op.Record.active land full_mask = full_mask then
+      if plain.(idx) && active land full_mask = full_mask then
         set_ok w true
       else if kinfo.Kinfo.is_barrier.(idx) then set_ok w true
       else if
-        op.Record.active land full_mask <> full_mask
+        active land full_mask <> full_mask
         && Majority.on_path slot.majority win
         && not (warp_done w)
       then begin
@@ -286,7 +295,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       end
       else if not (Majority.on_path slot.majority win) then set_ok w true
       else if kinfo.Kinfo.is_branch.(idx) then begin
-        let occ = op.Record.occ in
+        let occ = op_occ trace fi in
         let entry =
           match find_sync occ slot.sync_at.(idx) with
           | e when e != no_sync -> e
@@ -345,7 +354,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
           end;
           if not is_parked then
             stats.Stats.skip_table_probes <- stats.Stats.skip_table_probes + 1;
-          let inst = Skip_table.probe slot.skip ~pc:idx ~occ:op.Record.occ in
+          let inst = Skip_table.probe slot.skip ~pc:idx ~occ:(op_occ trace fi) in
           if inst == Skip_table.absent then begin
             if not (Skip_table.has_entry_slot slot.skip ~pc:idx) then begin
               (* Table full: execute normally, no skipping. *)
@@ -373,7 +382,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             end
             else begin
               mutated ();
-              Skip_table.allocate slot.skip ~pc:idx ~occ:op.Record.occ
+              Skip_table.allocate slot.skip ~pc:idx ~occ:(op_occ trace fi)
                 ~leader:win ~mem_dep:kinfo.Kinfo.mem_dep.(idx);
               stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
               clear_stall w;
@@ -403,7 +412,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
             stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
             elim_shape idx;
-            Skip_table.mark_passed slot.skip ~pc:idx ~occ:op.Record.occ
+            Skip_table.mark_passed slot.skip ~pc:idx ~occ:(op_occ trace fi)
               ~warp:win ~majority:(effective_majority slot);
             clear_stall w;
             if chain + 1 < cfg.Config.max_skips_per_warp_cycle then
@@ -516,11 +525,11 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     | None -> set_ok w true);
     w.Engine.fetch_ok
   in
-  let on_issue ~cycle:_ (w : Engine.wctx) (op : Record.op) =
+  let on_issue ~cycle:_ (w : Engine.wctx) fi =
     (match slot_of w with
     | None -> ()
     | Some slot ->
-      if kinfo.Kinfo.is_barrier.(op.Record.idx) then begin
+      if kinfo.Kinfo.is_barrier.(op_idx w.Engine.trace fi) then begin
         slot.bar_arrived <- slot.bar_arrived lor (1 lsl w.Engine.warp_in_tb);
         let expected = ref 0 in
         for k = 0 to Array.length slot.warps - 1 do
@@ -548,13 +557,14 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       end);
     Engine.Execute
   in
-  let on_writeback ~cycle:_ (w : Engine.wctx) (op : Record.op) =
-    if kinfo.Kinfo.tb_redundant.(op.Record.idx) then
+  let on_writeback ~cycle:_ (w : Engine.wctx) fi =
+    let idx = op_idx w.Engine.trace fi in
+    if kinfo.Kinfo.tb_redundant.(idx) then
       match slot_of w with
       | None -> ()
       | Some slot ->
-        Skip_table.mark_writeback slot.skip ~pc:op.Record.idx
-          ~occ:op.Record.occ ~majority:(effective_majority slot)
+        Skip_table.mark_writeback slot.skip ~pc:idx
+          ~occ:(op_occ w.Engine.trace fi) ~majority:(effective_majority slot)
   in
   let on_store ~atomic (w : Engine.wctx) =
     if not options.ignore_store then
@@ -570,8 +580,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      also covers the original leader refetching post-flush), then the
      bounded freelist wait, then a live instance led by this warp; what
      remains executed because the 8-entry table was exhausted. *)
-  let exec_fate (w : Engine.wctx) (op : Record.op) =
-    let idx = op.Record.idx in
+  let exec_fate (w : Engine.wctx) fi =
+    let idx = op_idx w.Engine.trace fi and occ = op_occ w.Engine.trace fi in
     match slot_of w with
     | None -> Darsie_obs.Ledger.Skip_disabled
     | Some slot -> (
@@ -580,7 +590,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       else if w.Engine.drop_reason = 2 then Darsie_obs.Ledger.Blocked_branch_sync
       else
         match
-          Skip_table.consume_flush slot.skip ~pc:idx ~occ:op.Record.occ
+          Skip_table.consume_flush slot.skip ~pc:idx ~occ
         with
         | Some (_, leader) when leader = win ->
           (* The leader's own execution: the flush happened between its
@@ -594,7 +604,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             Darsie_obs.Ledger.Freelist_stall
           end
           else if
-            (Skip_table.probe slot.skip ~pc:idx ~occ:op.Record.occ).Skip_table.leader
+            (Skip_table.probe slot.skip ~pc:idx ~occ).Skip_table.leader
             = win
           then Darsie_obs.Ledger.Leader_executed
           else Darsie_obs.Ledger.Evicted_capacity)

@@ -22,7 +22,7 @@ type wctx = {
   tb_slot : int;  (** SM-local threadblock slot *)
   tb_id : int;  (** global threadblock index *)
   warp_in_tb : int;
-  trace : Darsie_trace.Record.op array;
+  trace : Darsie_trace.Record.warp;
   mutable fi : int;  (** next trace index to fetch *)
   ib_fi : int array;
       (** I-buffer ring storage: trace index of each fetched op awaiting
@@ -128,13 +128,16 @@ type t = {
           would) and return the fresh gate; stateless engines return
           [true]. Called by the SM's fetch phase only between bundle
           slots, never for the first slot of a cycle *)
-  remove_at_fetch : wctx -> Darsie_trace.Record.op -> bool;
-  on_issue : cycle:int -> wctx -> Darsie_trace.Record.op -> issue_decision;
-  on_writeback : cycle:int -> wctx -> Darsie_trace.Record.op -> unit;
+  remove_at_fetch : wctx -> int -> bool;
+      (** the [int] argument of this and the op hooks below is the op's
+          index in [w.trace]; read it through the {!Darsie_trace.Record}
+          accessors *)
+  on_issue : cycle:int -> wctx -> int -> issue_decision;
+  on_writeback : cycle:int -> wctx -> int -> unit;
   on_store : atomic:bool -> wctx -> unit;
       (** a store ([atomic = false]) or atomic ([atomic = true]) issued
           by this warp's TB — the load-entry flush trigger (§4.4) *)
-  exec_fate : wctx -> Darsie_trace.Record.op -> Darsie_obs.Ledger.fate;
+  exec_fate : wctx -> int -> Darsie_obs.Ledger.fate;
       (** classify one {e executed} (really fetched) occurrence of a
           statically eligible instruction for the skip ledger; called by
           the SM's fetch phase exactly once per such occurrence. Engines

@@ -17,11 +17,13 @@ let div_by ~shift m x = if shift >= 0 && x >= 0 then x lsr shift else x / m
 let mod_by ~shift m x = if shift >= 0 && x >= 0 then x land (m - 1) else x mod m
 
 (* Caller-owned scratch for the per-access models below, so an access
-   allocates nothing: [coalesce] leaves its lines in [buf] and
-   [shared_conflicts] its distinct words, chained per bank through
-   [next] from [head] (-1 ends a chain; [head] is all -1 between calls).
-   Grown on demand, never shrunk. *)
+   allocates nothing: [addrs] holds the access vector the caller decoded,
+   [coalesce] leaves its lines in [buf] and [shared_conflicts] its
+   distinct words, chained per bank through [next] from [head] (-1 ends
+   a chain; [head] is all -1 between calls). Grown on demand, never
+   shrunk. *)
 type scratch = {
+  mutable addrs : int array;
   mutable buf : int array;
   mutable next : int array;
   mutable bank : int array;  (* [head] index of each distinct word *)
@@ -30,6 +32,7 @@ type scratch = {
 
 let scratch () =
   {
+    addrs = Array.make 32 0;
     buf = Array.make 32 0;
     next = Array.make 32 0;
     bank = Array.make 32 0;
@@ -37,6 +40,10 @@ let scratch () =
   }
 
 let scratch_get s i = s.buf.(i)
+
+let addresses s n =
+  if Array.length s.addrs < n then s.addrs <- Array.make n 0;
+  s.addrs
 
 let reserve s n =
   if Array.length s.buf < n then begin
@@ -47,12 +54,12 @@ let reserve s n =
 
 (* A warp touches a handful of lines, so a linear duplicate search beats
    hashing. *)
-let coalesce s ~line_bytes accesses =
-  reserve s (Array.length accesses);
+let coalesce s ~line_bytes accesses ~len =
+  reserve s len;
   let buf = s.buf in
   let shift = shift_of line_bytes in
   let n = ref 0 in
-  for a = 0 to Array.length accesses - 1 do
+  for a = 0 to len - 1 do
     let addr = accesses.(a) in
     let line = addr - mod_by ~shift line_bytes addr in
     let k = ref 0 in
@@ -71,8 +78,7 @@ let coalesce s ~line_bytes accesses =
    one more than the distinct words already chained on its bank. The
    chain heads are indexed [bank + banks], as [mod] keeps the sign of a
    (negative) word. *)
-let shared_conflicts s ~banks accesses =
-  let n_acc = Array.length accesses in
+let shared_conflicts s ~banks accesses ~len:n_acc =
   reserve s n_acc;
   if Array.length s.head < 2 * banks then s.head <- Array.make (2 * banks) (-1);
   let buf = s.buf and next = s.next and bank = s.bank and head = s.head in
@@ -185,10 +191,4 @@ module Dram = struct
     t.next_free + t.latency
 
   let busy_until t = t.next_free
-
-  (* Earliest future event on the channel: the queue draining. Individual
-     burst completions are tracked by the issuing SM's in-flight list;
-     this only bounds how far the fast-forward path may jump while the
-     channel is still serving transactions. *)
-  let next_event t ~now = if t.next_free > now then Some t.next_free else None
 end

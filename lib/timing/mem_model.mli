@@ -18,17 +18,23 @@ val scratch : unit -> scratch
 val scratch_get : scratch -> int -> int
 (** [scratch_get s i] is the [i]-th result the last call left in [s]. *)
 
-val coalesce : scratch -> line_bytes:int -> int array -> int
-(** Number of unique cache-line base addresses touched by a warp's
-    accesses — the number of memory transactions after coalescing. The
-    lines are left in the scratch, in first-touch order, at positions
-    [0 .. n-1]. *)
+val addresses : scratch -> int -> int array
+(** [addresses s n] is the scratch's access-vector buffer, grown to hold
+    at least [n] addresses: the issue stage decodes a memory op's trace
+    entry into it and passes it to {!coalesce} or {!shared_conflicts}.
+    Results of those calls live in other buffers, so it stays intact. *)
 
-val shared_conflicts : scratch -> banks:int -> int array -> int
-(** Extra serialization cycles from shared-memory bank conflicts: with
-    word-interleaved banks, the maximum number of distinct words mapped to
-    one bank, minus one. Lanes reading the same word broadcast for free.
-    Overwrites the scratch. *)
+val coalesce : scratch -> line_bytes:int -> int array -> len:int -> int
+(** Number of unique cache-line base addresses touched by a warp's
+    accesses (the first [len] entries of the array) — the number of
+    memory transactions after coalescing. The lines are left in the
+    scratch, in first-touch order, at positions [0 .. n-1]. *)
+
+val shared_conflicts : scratch -> banks:int -> int array -> len:int -> int
+(** Extra serialization cycles from shared-memory bank conflicts among
+    the first [len] accesses: with word-interleaved banks, the maximum
+    number of distinct words mapped to one bank, minus one. Lanes reading
+    the same word broadcast for free. Overwrites the scratch. *)
 
 (** Set-associative, write-through, no-write-allocate L1 with LRU
     replacement. *)
@@ -57,9 +63,4 @@ module Dram : sig
   (** Completion cycle for a burst of transactions issued at [now]. *)
 
   val busy_until : t -> int
-
-  val next_event : t -> now:int -> int option
-  (** Earliest future cycle the channel state changes (the queue drains),
-      or [None] when it is already idle. Bounds fast-forward jumps; the
-      per-burst completion cycles live in each SM's in-flight list. *)
 end

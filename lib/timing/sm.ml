@@ -17,7 +17,7 @@ let no_warp =
     tb_slot = -1;
     tb_id = -1;
     warp_in_tb = -1;
-    trace = [||];
+    trace = Record.empty_warp;
     fi = 0;
     ib_fi = [||];
     ib_cycle = [||];
@@ -157,11 +157,20 @@ end
    the compiler can inline them on the per-cycle paths: dune's default
    (dev) profile compiles each module with [-opaque], which rules out
    inlining across modules) and the I-buffer head. *)
-let warp_done (w : Engine.wctx) = w.Engine.fi >= Array.length w.Engine.trace
+let warp_done (w : Engine.wctx) = w.Engine.fi >= w.Engine.trace.Record.n
 
 let warp_drained (w : Engine.wctx) = w.Engine.ib_len = 0 && warp_done w
 
-let head_op (w : Engine.wctx) = w.Engine.trace.(w.Engine.ib_fi.(w.Engine.ib_head))
+let head_fi (w : Engine.wctx) = w.Engine.ib_fi.(w.Engine.ib_head)
+
+(* [Record.idx] and [Record.active], restated for the same reason. *)
+let idx_mask = (1 lsl Record.idx_bits) - 1
+
+let op_idx (trace : Record.warp) fi = trace.Record.ops.(3 * fi) land idx_mask
+
+let op_active (trace : Record.warp) fi = trace.Record.ops.((3 * fi) + 1)
+
+let head_idx (w : Engine.wctx) = op_idx w.Engine.trace (head_fi w)
 
 let head_cycle (w : Engine.wctx) = w.Engine.ib_cycle.(w.Engine.ib_head)
 
@@ -434,11 +443,11 @@ let launch_tb t ~tb_id ~traces =
      the fetch-path bookkeeping it verifies. *)
   Array.iter
     (fun trace ->
-      Array.iter
-        (fun (op : Record.op) ->
-          if t.kinfo.Kinfo.marked_eligible.(op.Record.idx) then
-            Obs.Ledger.note_expected t.ledger ~pc:op.Record.idx)
-        trace)
+      for i = 0 to Record.length trace - 1 do
+        let idx = Record.idx trace i in
+        if t.kinfo.Kinfo.marked_eligible.(idx) then
+          Obs.Ledger.note_expected t.ledger ~pc:idx
+      done)
     traces;
   Array.iteri
     (fun w ctx -> t.warps.((slot_idx * t.warps_per_tb) + w) <- Some ctx)
@@ -485,10 +494,9 @@ let warp_snapshots t =
     (function
       | None -> ()
       | Some (w : Engine.wctx) ->
-        let len = Array.length w.Engine.trace in
+        let len = Record.length w.Engine.trace in
         let pc =
-          if w.Engine.fi < len then w.Engine.trace.(w.Engine.fi).Record.idx
-          else -1
+          if w.Engine.fi < len then op_idx w.Engine.trace w.Engine.fi else -1
         in
         let drained = warp_drained w in
         let state =
@@ -565,7 +573,7 @@ let add_inflight t (w : Engine.wctx) ~fi ~finish ~mshrs =
   let s = Inflight.add t.fly ~wid:w.Engine.wid ~fi ~finish ~mshrs in
   if finish < t.next_wb then t.next_wb <- finish;
   if mshrs > 0 then w.Engine.mshr_used <- w.Engine.mshr_used + mshrs;
-  if is_mem_class t w.Engine.trace.(fi).Record.idx then
+  if is_mem_class t (op_idx w.Engine.trace fi) then
     w.Engine.mem_inflight <- w.Engine.mem_inflight + 1;
   s
 
@@ -575,8 +583,9 @@ let retire t s =
   let fly = t.fly in
   let w = warp_of t fly.Inflight.wid.(s) in
   t.ready_memo.(w.Engine.wid) <- -1;
-  let op = w.Engine.trace.(fly.Inflight.fi.(s)) in
-  (match t.kinfo.Kinfo.dst_reg.(op.Record.idx) with
+  let fi = fly.Inflight.fi.(s) in
+  let idx = op_idx w.Engine.trace fi in
+  (match t.kinfo.Kinfo.dst_reg.(idx) with
   | Some d ->
     w.Engine.pending.(d) <- w.Engine.pending.(d) - 1;
     w.Engine.pending_count <- w.Engine.pending_count - 1;
@@ -586,9 +595,9 @@ let retire t s =
     t.slots.(w.Engine.tb_slot).inflight_ops - 1;
   let mshrs = fly.Inflight.mshrs.(s) in
   if mshrs > 0 then w.Engine.mshr_used <- w.Engine.mshr_used - mshrs;
-  if is_mem_class t op.Record.idx then
+  if is_mem_class t idx then
     w.Engine.mem_inflight <- w.Engine.mem_inflight - 1;
-  t.engine.Engine.on_writeback ~cycle:t.cycle w op
+  t.engine.Engine.on_writeback ~cycle:t.cycle w fi
 
 (* Completions within one cycle commute (register, slot and MSHR counts
    are sums; the engines' writeback hooks touch per-(PC, occurrence)
@@ -712,7 +721,7 @@ let head_ready t (w : Engine.wctx) =
   | 1 -> true
   | 0 -> false
   | _ ->
-    let r = scoreboard_ready w t.kinfo (head_op w).Record.idx in
+    let r = scoreboard_ready w t.kinfo (head_idx w) in
     t.ready_memo.(w.Engine.wid) <- (if r then 1 else 0);
     r
 
@@ -788,12 +797,19 @@ let count_elim (stats : Stats.t) = function
   | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
     stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1
 
+(* Decode op [fi]'s access vector into the scratch's address buffer,
+   which is then [Mem_model.addresses t.scratch len]; returns [len]. *)
+let load_accesses t (w : Engine.wctx) fi =
+  let trace = w.Engine.trace in
+  Record.decode_accesses trace fi
+    (Mem_model.addresses t.scratch (Record.access_count trace fi))
+
 (* Issue one op from warp [w]; returns false if the head op cannot issue. *)
 let try_issue_head t (w : Engine.wctx) =
   if w.Engine.at_barrier || w.Engine.ib_len = 0 then false
   else begin
-    let op = head_op w in
-    let idx = op.Record.idx in
+    let fi = head_fi w in
+    let idx = op_idx w.Engine.trace fi in
     let kinfo = t.kinfo in
     let unit_class = kinfo.Kinfo.unit_of.(idx) in
     let structural_ok =
@@ -810,7 +826,6 @@ let try_issue_head t (w : Engine.wctx) =
        || mem_struct_blocked t w idx
     then false
     else begin
-      let fi = w.Engine.ib_fi.(w.Engine.ib_head) in
       Engine.ibuf_pop w;
       let stats = t.stats in
       let cfg = t.cfg in
@@ -818,7 +833,7 @@ let try_issue_head t (w : Engine.wctx) =
       w.Engine.last_issued <- t.cycle;
       t.issue_slots_used <- t.issue_slots_used + 1;
       if t.issue_slots_used = 1 then t.active_pc <- idx;
-      (match t.engine.Engine.on_issue ~cycle:t.cycle w op with
+      (match t.engine.Engine.on_issue ~cycle:t.cycle w fi with
       | Engine.Drop ->
         (* Eliminated at issue (UV): consumed fetch/decode and an issue
            slot but no execution resources; the reuse-buffer value is
@@ -839,7 +854,7 @@ let try_issue_head t (w : Engine.wctx) =
         stats.Stats.issued <- stats.Stats.issued + 1;
         (match t.pcstat with Some p -> Obs.Pcstat.note_issue p ~pc:idx | None -> ());
         stats.Stats.executed_threads <-
-          stats.Stats.executed_threads + popcount op.Record.active;
+          stats.Stats.executed_threads + popcount (op_active w.Engine.trace fi);
         emit t ~warp:w.Engine.wid Obs.Event.Issue;
         (* Register file reads and bank conflicts. *)
         let conflicts = read_banks t w 0 kinfo.Kinfo.src_regs.(idx) in
@@ -878,7 +893,11 @@ let try_issue_head t (w : Engine.wctx) =
               if cfg.Config.smem_banks > 0 then cfg.Config.smem_banks
               else cfg.Config.warp_size
             in
-            let sc = Mem_model.shared_conflicts t.scratch ~banks op.Record.accesses in
+            let len = load_accesses t w fi in
+            let sc =
+              Mem_model.shared_conflicts t.scratch ~banks
+                (Mem_model.addresses t.scratch len) ~len
+            in
             stats.Stats.shared_accesses <- stats.Stats.shared_accesses + 1 + sc;
             stats.Stats.shared_bank_conflicts <-
               stats.Stats.shared_bank_conflicts + sc;
@@ -896,8 +915,9 @@ let try_issue_head t (w : Engine.wctx) =
             stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
             emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
             let nlines =
+              let len = load_accesses t w fi in
               Mem_model.coalesce t.scratch ~line_bytes:cfg.Config.l1_line
-                op.Record.accesses
+                (Mem_model.addresses t.scratch len) ~len
             in
             if kinfo.Kinfo.is_atomic.(idx) then begin
               (* Atomics bypass the L1 and serialize at DRAM. *)
@@ -974,7 +994,7 @@ let issueable t wid =
   t.head_at.(wid) < t.cycle
   &&
   let w = warp_of t wid in
-  let idx = (head_op w).Record.idx in
+  let idx = head_idx w in
   head_ready t w
   (* structural memory gates (MSHR / replay port) hide the warp from
      the schedulers so GTO moves on instead of sticking to it *)
@@ -1046,12 +1066,12 @@ let issue t =
    from static information; everything else is the engine's story. An
    occurrence the engine removed or skipped pre-fetch never reaches this
    point — those fates are recorded at the elimination site. *)
-let note_exec_fate t (w : Engine.wctx) (op : Record.op) =
-  let idx = op.Record.idx in
+let note_exec_fate t (w : Engine.wctx) fi =
+  let idx = op_idx w.Engine.trace fi in
   if t.kinfo.Kinfo.marked_eligible.(idx) then
     let fate =
       if not t.kinfo.Kinfo.tb_redundant.(idx) then Obs.Ledger.Demoted_at_launch
-      else t.engine.Engine.exec_fate w op
+      else t.engine.Engine.exec_fate w fi
     in
     Obs.Ledger.note t.ledger ~pc:idx fate
 
@@ -1088,9 +1108,9 @@ let fetch t =
           (* Zero-cost stream removal (DAC-IDEAL). *)
           while
             (not (warp_done w))
-            && t.engine.Engine.remove_at_fetch w w.Engine.trace.(w.Engine.fi)
+            && t.engine.Engine.remove_at_fetch w w.Engine.fi
           do
-            let idx = w.Engine.trace.(w.Engine.fi).Record.idx in
+            let idx = op_idx w.Engine.trace w.Engine.fi in
             t.fetch_mutated <- true;
             if t.kinfo.Kinfo.marked_eligible.(idx) then
               Obs.Ledger.note t.ledger ~pc:idx Obs.Ledger.Skipped;
@@ -1101,20 +1121,20 @@ let fetch t =
             count_elim t.stats t.kinfo.Kinfo.shape.(idx)
           done;
           if not (warp_done w) then begin
-            let op = w.Engine.trace.(w.Engine.fi) in
+            let idx = op_idx w.Engine.trace w.Engine.fi in
             if not !slot_used then begin
               slot_used := true;
               incr fetched
             end;
             t.fetch_mutated <- true;
-            let pc = Darsie_isa.Kernel.pc_of_index op.Record.idx in
+            let pc = Darsie_isa.Kernel.pc_of_index idx in
             if Mem_model.L1.access t.icache pc then begin
               t.stats.Stats.fetched <- t.stats.Stats.fetched + 1;
               (match t.pcstat with
-              | Some p -> Obs.Pcstat.note_fetch p ~pc:op.Record.idx
+              | Some p -> Obs.Pcstat.note_fetch p ~pc:idx
               | None -> ());
               emit t ~warp:w.Engine.wid Obs.Event.Fetch;
-              note_exec_fate t w op;
+              note_exec_fate t w w.Engine.fi;
               Engine.ibuf_push w ~cycle:t.cycle;
               refresh_head t w;
               w.Engine.fi <- w.Engine.fi + 1;
@@ -1166,7 +1186,7 @@ let nearest_inflight_pc t (w : Engine.wctx) =
     let s = fly.Inflight.heap_slot.(i) in
     let wid = fly.Inflight.wid.(s) in
     if any || wid = w.Engine.wid then begin
-      let pc = (warp_of t wid).Engine.trace.(fly.Inflight.fi.(s)).Record.idx in
+      let pc = op_idx (warp_of t wid).Engine.trace fly.Inflight.fi.(s) in
       let fin = fly.Inflight.finish.(s) in
       if
         (any || is_mem_class t pc)
@@ -1180,10 +1200,10 @@ let nearest_inflight_pc t (w : Engine.wctx) =
   !best_pc
 
 let head_pc (w : Engine.wctx) =
-  if w.Engine.ib_len > 0 then (head_op w).Record.idx else -1
+  if w.Engine.ib_len > 0 then head_idx w else -1
 
 let next_pc (w : Engine.wctx) =
-  if warp_done w then -1 else w.Engine.trace.(w.Engine.fi).Record.idx
+  if warp_done w then -1 else op_idx w.Engine.trace w.Engine.fi
 
 let classified t bucket pc =
   t.cls_bucket <- bucket;
@@ -1210,7 +1230,7 @@ let mem_blocked t (w : Engine.wctx) =
 let struct_blocked t (w : Engine.wctx) =
   aged_head t w
   &&
-  let idx = (head_op w).Record.idx in
+  let idx = head_idx w in
   head_ready t w && mem_struct_blocked t w idx
 
 (* A warp with nothing buffered that the engine will not let fetch. *)
@@ -1282,7 +1302,7 @@ let classify_stall t =
              warp's own in-flight misses holding its MSHRs *)
           let w = warp_of t !i in
           let pc =
-            match t.kinfo.Kinfo.unit_of.((head_op w).Record.idx) with
+            match t.kinfo.Kinfo.unit_of.(head_idx w) with
             | Kinfo.Mem_shared -> t.smem_replay_pc
             | _ -> nearest_inflight_pc t w
           in

@@ -1,12 +1,16 @@
 module Kernel = Darsie_isa.Kernel
 
-let format_version = 1
+let format_version = 2
 
 let default_dir = "_cache"
 
-(* The payload is the Record.t marshaled behind a magic line; the magic
-   carries the format version so a stale-format file from a future (or
-   past) binary reads as corrupt, not as a wrong trace. *)
+(* Behind a magic line, the payload is the Record.t with every warp
+   replaced by [Record.empty_warp] (which keeps the shape), then each
+   warp in order as its own marshaled value. Marshaling piece by piece
+   bounds the serialisation buffer to one warp: loading or storing an
+   entry never holds a second, serialised copy of the whole trace. The
+   magic carries the format version so a stale-format file from a
+   future (or past) binary reads as corrupt, not as a wrong trace. *)
 let magic = Printf.sprintf "DARSIE-TRACE/%d\n" format_version
 
 type t = {
@@ -69,6 +73,14 @@ let lookup t ~key ~check =
                 if m <> magic then None
                 else
                   let (r : Record.t) = Marshal.from_channel ic in
+                  let shape = r.Record.tbs in
+                  (* [Array.init] fills in index order, the file's order *)
+                  let tbs =
+                    Array.init (Array.length shape) (fun tb ->
+                        Array.init (Array.length shape.(tb)) (fun _ ->
+                            (Marshal.from_channel ic : Record.warp)))
+                  in
+                  let r = { r with Record.tbs } in
                   if check r then Some r else None)
           with _ -> None)
   in
@@ -97,7 +109,15 @@ let store t ~key record =
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         output_string oc magic;
-        Marshal.to_channel oc record []);
+        let shape =
+          Array.map
+            (fun tb -> Array.make (Array.length tb) Record.empty_warp)
+            record.Record.tbs
+        in
+        Marshal.to_channel oc { record with Record.tbs = shape } [];
+        Array.iter
+          (Array.iter (fun w -> Marshal.to_channel oc w []))
+          record.Record.tbs);
     Sys.rename tmp final;
     Atomic.incr t.stores;
     Darsie_telemetry.Telemetry.incr "trace_cache.stores"

@@ -29,7 +29,14 @@ type t
 
 val format_version : int
 (** Bumped whenever the on-disk layout or the trace record type changes;
-    part of the key, so old entries are simply never looked up again. *)
+    part of the key, so old entries are simply never looked up again.
+    Version 2 is the compact layout of {!Record}: per warp, an op stream
+    of three ints per op and a side array of affine-coded
+    [(len, base, stride)] or raw access vectors. An entry holds word
+    addresses, never cache lines, so it stays valid for every machine
+    configuration (see {!Record}). Version 1 entries (boxed op records,
+    one address array per op) carry a different magic line and read as
+    misses. *)
 
 val default_dir : string
 (** ["_cache"], resolved relative to the working directory. *)

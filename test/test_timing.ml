@@ -18,11 +18,13 @@ let scratch = Mem_model.scratch ()
 
 let coalesce ~line_bytes accesses =
   List.init
-    (Mem_model.coalesce scratch ~line_bytes accesses)
+    (Mem_model.coalesce scratch ~line_bytes accesses
+       ~len:(Array.length accesses))
     (Mem_model.scratch_get scratch)
 
 let shared_conflicts ~banks accesses =
   Mem_model.shared_conflicts scratch ~banks accesses
+    ~len:(Array.length accesses)
 
 let test_coalesce () =
   let lines = coalesce ~line_bytes:128 (Array.init 32 (fun i -> 4 * i)) in
@@ -479,7 +481,9 @@ let test_engine_remove_at_fetch () =
     {
       base with
       Engine.remove_at_fetch =
-        (fun _ op -> kinfo.Kinfo.unit_of.(op.Darsie_trace.Record.idx) = Kinfo.Alu);
+        (fun w fi ->
+          kinfo.Kinfo.unit_of.(Darsie_trace.Record.idx w.Engine.trace fi)
+          = Kinfo.Alu);
     }
   in
   let r = run_timing ~engine:remove_alu alu_kernel [||] in
@@ -498,8 +502,11 @@ let ring_warp ~depth =
     tb_id = 0;
     warp_in_tb = 0;
     trace =
-      Array.init 64 (fun i ->
-          { Darsie_trace.Record.idx = i; occ = 0; active = 1; accesses = [||] });
+      (let b = Darsie_trace.Record.Builder.create () in
+       for i = 0 to 63 do
+         Darsie_trace.Record.Builder.add b ~idx:i ~occ:0 ~active:1 [||]
+       done;
+       Darsie_trace.Record.Builder.finish b);
     fi = 0;
     ib_fi = Array.make depth 0;
     ib_cycle = Array.make depth 0;

@@ -1,5 +1,6 @@
-(* Tests for the trace library: growable vectors, trace recording, and the
-   redundancy limit studies (Figure 1/2 machinery). *)
+(* Tests for the trace library: the compact trace layout and its access
+   coding, trace recording against the emulator's own stream, the trace
+   cache, and the redundancy limit studies (Figure 1/2 machinery). *)
 
 open Darsie_isa
 open Darsie_trace
@@ -9,25 +10,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let parse = Parser.parse_kernel
-
-(* ------------------------------------------------------------------ *)
-(* Vec                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_vec () =
-  let v = Vec.create () in
-  check_int "empty" 0 (Vec.length v);
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  check_int "length" 100 (Vec.length v);
-  check_int "get" 49 (Vec.get v 7);
-  check_int "to_array" 81 (Vec.to_array v).(9);
-  let sum = ref 0 in
-  Vec.iter (fun x -> sum := !sum + x) v;
-  check_int "iter sums" 328350 !sum;
-  Alcotest.check_raises "bounds" (Invalid_argument "Vec.get: out of bounds")
-    (fun () -> ignore (Vec.get v 100))
 
 (* ------------------------------------------------------------------ *)
 (* Pattern tests                                                       *)
@@ -73,6 +55,12 @@ let qcheck_affine =
 (* Record generation                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Op [i]'s access vector, decoded into a fresh array. *)
+let accesses w i =
+  let buf = Array.make (Record.access_count w i) 0 in
+  ignore (Record.decode_accesses w i buf);
+  buf
+
 let loop_kernel =
   parse
     {|
@@ -98,18 +86,291 @@ let test_record_generate () =
   check_int "tbs" 2 (Record.num_tbs t);
   check_int "warps per tb" 2 (Record.warps_per_tb t);
   (* 1 mov + 3*(add,setp,bra) + st + exit = 12 per warp *)
-  check_int "ops per warp" 12 (Array.length t.Record.tbs.(0).(0));
+  check_int "ops per warp" 12 (Record.length t.Record.tbs.(0).(0));
   check_int "total" (12 * 4) (Record.total_ops t);
   (* occurrence numbers count loop iterations *)
   let w = t.Record.tbs.(1).(1) in
-  let adds = Array.to_list w |> List.filter (fun o -> o.Record.idx = 1) in
+  let ops = List.init (Record.length w) Fun.id in
+  let adds = List.filter (fun i -> Record.idx w i = 1) ops in
   Alcotest.(check (list int))
     "occurrences" [ 0; 1; 2 ]
-    (List.map (fun o -> o.Record.occ) adds);
-  (* memory op carries addresses *)
-  let st = Array.to_list w |> List.find (fun o -> o.Record.idx = 4) in
-  check_int "store addresses" 32 (Array.length st.Record.accesses);
-  check_int "full mask recorded" ((1 lsl 32) - 1) st.Record.active
+    (List.map (Record.occ w) adds);
+  (* memory op carries addresses: 32 lanes storing to one word *)
+  let st = List.find (fun i -> Record.idx w i = 4) ops in
+  check_int "store addresses" 32 (Record.access_count w st);
+  check_bool "uniform store is affine-coded" true (Record.affine w st);
+  check_bool "decoded addresses" true
+    (accesses w st = Array.make 32 dst);
+  check_int "full mask recorded" ((1 lsl 32) - 1) (Record.active w st);
+  check_int "non-memory op has no addresses" 0 (Record.access_count w 0)
+
+(* ------------------------------------------------------------------ *)
+(* Access coding                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The coding rule restated: one stride from lane 0 to lane 1 fits
+   every lane. *)
+let single_affine a =
+  let n = Array.length a in
+  n < 3
+  ||
+  let s = a.(1) - a.(0) in
+  let ok = ref true in
+  Array.iteri (fun k x -> if x <> a.(0) + (k * s) then ok := false) a;
+  !ok
+
+let near_2_32 = (1 lsl 32) - 64
+
+let access_vector_gen =
+  QCheck.Gen.(
+    let lanes = int_range 0 64 in
+    let addr = int_range 0 0xFFFFFF in
+    oneof
+      [
+        return [||];
+        map (fun a -> [| a |]) addr;
+        map2 (fun n a -> Array.make n a) lanes addr;
+        (* affine with a positive, negative or zero stride *)
+        map3
+          (fun n a s -> Array.init n (fun k -> a + (k * s)))
+          lanes addr (int_range (-256) 256);
+        (* a 2-D tile: two 16-lane rows, [row] bytes apart *)
+        map3
+          (fun a col row ->
+            Array.init 32 (fun k -> a + ((k mod 16) * col) + (k / 16 * row)))
+          addr (int_range 1 16) (int_range 64 4096);
+        (* a random gather *)
+        array_size lanes addr;
+        (* addresses around 2^32, crossing it *)
+        map2
+          (fun n s -> Array.init n (fun k -> near_2_32 + (k * s)))
+          lanes (int_range 0 8);
+        array_size lanes (map (fun d -> near_2_32 + d) (int_range 0 128));
+      ])
+
+let op_gen =
+  QCheck.Gen.(
+    map3
+      (fun (idx, occ) active acc -> (idx, occ, active, acc))
+      (pair (int_range 0 ((1 lsl 20) - 1)) (int_range 0 1_000_000))
+      (int_range 0 ((1 lsl 32) - 1))
+      access_vector_gen)
+
+let print_op (idx, occ, active, acc) =
+  Printf.sprintf "idx=%d occ=%d active=%x [%s]" idx occ active
+    (String.concat ";" (Array.to_list (Array.map string_of_int acc)))
+
+(* A warp built from random ops decodes op for op to its input, and
+   every vector is coded affine exactly when the rule says so. *)
+let qcheck_access_coding =
+  QCheck.Test.make ~name:"access coding round-trips" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list print_op)
+       QCheck.Gen.(list_size (int_range 0 20) op_gen))
+    (fun ops ->
+      let b = Record.Builder.create () in
+      List.iter
+        (fun (idx, occ, active, acc) ->
+          Record.Builder.add b ~idx ~occ ~active acc)
+        ops;
+      let w = Record.Builder.finish b in
+      Record.length w = List.length ops
+      && List.for_all2
+           (fun i (idx, occ, active, acc) ->
+             let buf = Array.make 64 (-1) in
+             let n = Record.decode_accesses w i buf in
+             Record.idx w i = idx
+             && Record.occ w i = occ
+             && Record.active w i = active
+             && Record.access_count w i = Array.length acc
+             && n = Array.length acc
+             && Array.sub buf 0 n = acc
+             && accesses w i = acc
+             && Record.affine w i = single_affine acc)
+           (List.init (List.length ops) Fun.id)
+           ops)
+
+let test_builder_ranges () =
+  let b = Record.Builder.create () in
+  let raises name f =
+    check_bool name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  raises "idx beyond its field" (fun () ->
+      Record.Builder.add b ~idx:(1 lsl 20) ~occ:0 ~active:1 [||]);
+  raises "negative idx" (fun () ->
+      Record.Builder.add b ~idx:(-1) ~occ:0 ~active:1 [||]);
+  raises "negative occ" (fun () ->
+      Record.Builder.add b ~idx:0 ~occ:(-1) ~active:1 [||]);
+  raises "occ beyond its field" (fun () ->
+      Record.Builder.add b ~idx:0 ~occ:(max_int lsr 19) ~active:1 [||]);
+  Record.Builder.add b ~idx:((1 lsl 20) - 1) ~occ:(max_int lsr 20) ~active:1
+    [||];
+  let w = Record.Builder.finish b in
+  check_int "only the fitting op was added" 1 (Record.length w);
+  check_int "largest idx" ((1 lsl 20) - 1) (Record.idx w 0);
+  check_int "largest occ" (max_int lsr 20) (Record.occ w 0)
+
+(* ------------------------------------------------------------------ *)
+(* Whole-trace differential                                            *)
+(* ------------------------------------------------------------------ *)
+
+module W = Darsie_workloads.Workload
+module Interp = Darsie_emu.Interp
+
+(* The boxed op record the compact layout replaced, kept here as the
+   reference: the emulator's own exec stream, per warp. *)
+type ref_op = { r_idx : int; r_occ : int; r_active : int; r_acc : int array }
+
+let reference_trace (p : W.prepared) =
+  let launch = p.W.launch in
+  let ntbs = Kernel.num_blocks launch in
+  let nwarps = Kernel.warps_per_block launch ~warp_size:32 in
+  let ops = Array.init ntbs (fun _ -> Array.make nwarps []) in
+  let on_exec (r : Interp.exec_record) =
+    let tb = r.Interp.tb and w = r.Interp.warp in
+    ops.(tb).(w) <-
+      {
+        r_idx = r.Interp.inst_index;
+        r_occ = r.Interp.occ;
+        r_active = r.Interp.active;
+        r_acc = r.Interp.accesses;
+      }
+      :: ops.(tb).(w)
+  in
+  let config = { Interp.warp_size = 32; capture_operands = false } in
+  ignore (Interp.run ~config ~on_exec p.W.mem launch);
+  Array.map (Array.map List.rev) ops
+
+let decoded (w : Record.warp) =
+  List.init (Record.length w) (fun i ->
+      {
+        r_idx = Record.idx w i;
+        r_occ = Record.occ w i;
+        r_active = Record.active w i;
+        r_acc = accesses w i;
+      })
+
+let test_trace_differential () =
+  List.iter
+    (fun (wl : W.t) ->
+      let reference = reference_trace (wl.W.prepare ~scale:1) in
+      let p = wl.W.prepare ~scale:1 in
+      let t = Record.generate p.W.mem p.W.launch in
+      check_int (wl.W.abbr ^ " tbs") (Array.length reference) (Record.num_tbs t);
+      Array.iteri
+        (fun tb warps ->
+          Array.iteri
+            (fun w ops ->
+              check_bool
+                (Printf.sprintf "%s tb %d warp %d decodes to the exec stream"
+                   wl.W.abbr tb w)
+                true
+                (decoded t.Record.tbs.(tb).(w) = ops))
+            warps)
+        reference)
+    (Darsie_workloads.Registry.all @ Darsie_workloads.Registry.extended)
+
+(* ------------------------------------------------------------------ *)
+(* Trace cache                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let with_cache f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "darsie-trace-cache-%d" (Unix.getpid ()))
+  in
+  let clear () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  clear ();
+  Fun.protect ~finally:clear (fun () -> f (Cache.create ~dir ()))
+
+let app abbr =
+  let wl = Option.get (Darsie_workloads.Registry.find abbr) in
+  (wl.W.abbr, wl.W.prepare ~scale:1)
+
+let entry_path cache key = Filename.concat (Cache.dir cache) (key ^ ".trace")
+
+(* Count the ops whose vector is stored affine and those stored raw. *)
+let codings (t : Record.t) =
+  let aff = ref 0 and raw = ref 0 in
+  Array.iter
+    (Array.iter (fun w ->
+         for i = 0 to Record.length w - 1 do
+           if Record.access_count w i > 0 then
+             if Record.affine w i then incr aff else incr raw
+         done))
+    t.Record.tbs;
+  (!aff, !raw)
+
+let test_cache_store_find () =
+  with_cache (fun cache ->
+      List.iter
+        (fun (abbr, raw_expected) ->
+          let name, p = app abbr in
+          let t = Record.generate p.W.mem p.W.launch in
+          let aff, raw = codings t in
+          check_bool (abbr ^ " takes the expected coding path") true
+            (if raw_expected then raw > 0 else raw = 0 && aff > 0);
+          let key = Cache.key ~name ~scale:1 p.W.launch in
+          Cache.store cache ~key t;
+          match Cache.find cache ~key with
+          | None -> Alcotest.fail (abbr ^ ": stored entry not found")
+          | Some t' ->
+            check_bool (abbr ^ " entry equals the generated trace") true
+              (t'.Record.tbs = t.Record.tbs
+              && t'.Record.warp_size = t.Record.warp_size
+              && t'.Record.emu_stats = t.Record.emu_stats))
+        [ ("MM", false); ("HS", true) ];
+      check_int "hits" 2 (Cache.hits cache);
+      check_int "stores" 2 (Cache.stores cache))
+
+let test_cache_old_format () =
+  with_cache (fun cache ->
+      let name, p = app "MM" in
+      let key = Cache.key ~name ~scale:1 p.W.launch in
+      let t = Record.generate p.W.mem p.W.launch in
+      Sys.mkdir (Cache.dir cache) 0o755;
+      let oc = open_out_bin (entry_path cache key) in
+      output_string oc "DARSIE-TRACE/1
+";
+      Marshal.to_channel oc t [];
+      close_out oc;
+      check_bool "a version-1 entry is not found" true
+        (Cache.find cache ~key = None);
+      let _, p = app "MM" in
+      let t' = Cache.generate cache ~name ~scale:1 p.W.mem p.W.launch in
+      check_int "both lookups missed" 2 (Cache.misses cache);
+      check_int "and the entry was regenerated" 1 (Cache.stores cache);
+      check_bool "with the right trace" true (t'.Record.tbs = t.Record.tbs);
+      check_bool "which now hits" true (Cache.find cache ~key <> None))
+
+let test_cache_truncated () =
+  with_cache (fun cache ->
+      let name, p = app "MM" in
+      let key = Cache.key ~name ~scale:1 p.W.launch in
+      Cache.store cache ~key (Record.generate p.W.mem p.W.launch);
+      let path = entry_path cache key in
+      Unix.truncate path ((Unix.stat path).Unix.st_size / 2);
+      check_bool "a truncated entry is a miss" true
+        (Cache.find cache ~key = None);
+      check_int "counted as a miss" 1 (Cache.misses cache))
+
+let test_cache_shape_mismatch () =
+  with_cache (fun cache ->
+      let name, p = app "MM" in
+      let key = Cache.key ~name ~scale:1 p.W.launch in
+      let _, hs = app "HS" in
+      Cache.store cache ~key (Record.generate hs.W.mem hs.W.launch);
+      let t = Cache.generate cache ~name ~scale:1 p.W.mem p.W.launch in
+      check_int "a mis-shaped entry is a miss" 1 (Cache.misses cache);
+      check_int "no hit" 0 (Cache.hits cache);
+      check_int "the trace has the launch's shape"
+        (Kernel.num_blocks p.W.launch) (Record.num_tbs t))
 
 (* ------------------------------------------------------------------ *)
 (* Limit study on crafted kernels                                      *)
@@ -272,14 +533,30 @@ let test_limit_atomics_excluded () =
 let () =
   Alcotest.run "darsie_trace"
     [
-      ("vec", [ Alcotest.test_case "basics" `Quick test_vec ]);
       ( "patterns",
         [
           Alcotest.test_case "classification" `Quick test_vector_patterns;
           QCheck_alcotest.to_alcotest qcheck_affine;
         ] );
       ( "record",
-        [ Alcotest.test_case "generation" `Quick test_record_generate ] );
+        [
+          Alcotest.test_case "generation" `Quick test_record_generate;
+          Alcotest.test_case "packed field ranges" `Quick test_builder_ranges;
+          QCheck_alcotest.to_alcotest qcheck_access_coding;
+          Alcotest.test_case "decodes to the exec stream, all apps" `Quick
+            test_trace_differential;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "store then find, affine and raw" `Quick
+            test_cache_store_find;
+          Alcotest.test_case "version-1 entry is a miss" `Quick
+            test_cache_old_format;
+          Alcotest.test_case "truncated entry is a miss" `Quick
+            test_cache_truncated;
+          Alcotest.test_case "mis-shaped entry is a miss" `Quick
+            test_cache_shape_mismatch;
+        ] );
       ( "limit-study",
         [
           Alcotest.test_case "uniform kernel" `Quick test_limit_uniform_kernel;
