@@ -68,9 +68,14 @@ let error_message = function
       executed bound
   | Exec_fault m -> m
 
+(* Set bits of a lane mask (at most 62 bits wide), counted in parallel:
+   pairs, nibbles, bytes, then a multiply sums the bytes into the top
+   one. *)
 let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
+  let m = m - ((m lsr 1) land 0x1555_5555_5555_5555) in
+  let m = (m land 0x3333_3333_3333_3333) + ((m lsr 2) land 0x3333_3333_3333_3333) in
+  let m = (m + (m lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (m * 0x0101_0101_0101_0101) lsr 56
 
 (* Per-warp architectural state. *)
 type warp_state = {
@@ -90,99 +95,122 @@ type warp_state = {
 type tb_ctx = {
   launch : Kernel.launch;
   tb_index : int;
-  ctaid : int * int * int;
+  ctaid : Kernel.dim3;
   shared : Bytes.t;
   warps : warp_state array;
 }
 
-let sreg_value ctx ws lane (s : Instr.sreg) =
-  let bx, by, bz = ctx.ctaid in
-  let bd = ctx.launch.Kernel.block_dim and gd = ctx.launch.Kernel.grid_dim in
-  let axis_of (x, y, z) = function Instr.X -> x | Instr.Y -> y | Instr.Z -> z in
-  match s with
-  | Instr.Tid a ->
-    axis_of (ws.tid_x.(lane), ws.tid_y.(lane), ws.tid_z.(lane)) a
-  | Instr.Ntid a -> axis_of (bd.Kernel.x, bd.Kernel.y, bd.Kernel.z) a
-  | Instr.Ctaid a -> axis_of (bx, by, bz) a
-  | Instr.Nctaid a -> axis_of (gd.Kernel.x, gd.Kernel.y, gd.Kernel.z) a
+let axis (d : Kernel.dim3) = function
+  | Instr.X -> d.Kernel.x
+  | Instr.Y -> d.Kernel.y
+  | Instr.Z -> d.Kernel.z
 
-let operand_value ctx ws lane (op : Instr.operand) =
+let uniform (scratch : Value.t array) v =
+  Array.fill scratch 0 (Array.length scratch) v;
+  scratch
+
+(* The lane vector of a source operand, resolved once per op: a register
+   or [%tid] operand is the warp's own array, any other operand is the
+   same for every lane and is written into [scratch]. The result is only
+   read, and only until the next resolution into the same [scratch]. *)
+let lanes ctx ws scratch (op : Instr.operand) =
   match op with
-  | Instr.Reg r -> ws.regs.(r).(lane)
-  | Instr.Imm v -> v
-  | Instr.Sreg s -> Value.of_signed (sreg_value ctx ws lane s)
-  | Instr.Param i -> ctx.launch.Kernel.params.(i)
+  | Instr.Reg r -> ws.regs.(r)
+  | Instr.Sreg (Instr.Tid Instr.X) -> ws.tid_x
+  | Instr.Sreg (Instr.Tid Instr.Y) -> ws.tid_y
+  | Instr.Sreg (Instr.Tid Instr.Z) -> ws.tid_z
+  | Instr.Imm v -> uniform scratch v
+  | Instr.Param i -> uniform scratch ctx.launch.Kernel.params.(i)
+  | Instr.Sreg (Instr.Ntid a) ->
+    uniform scratch (axis ctx.launch.Kernel.block_dim a)
+  | Instr.Sreg (Instr.Ctaid a) -> uniform scratch (axis ctx.ctaid a)
+  | Instr.Sreg (Instr.Nctaid a) ->
+    uniform scratch (axis ctx.launch.Kernel.grid_dim a)
 
+(* Words are read and written through [Int32] primitives directly, so no
+   [int32] is boxed (the [Value] conversions are calls across modules). *)
 let shared_load ctx addr =
   if addr < 0 || addr + 4 > Bytes.length ctx.shared || addr land 3 <> 0 then
     fault "shared load out of bounds or misaligned: 0x%x" addr;
-  Value.of_int32 (Bytes.get_int32_le ctx.shared addr)
+  Int32.to_int (Bytes.get_int32_le ctx.shared addr) land 0xFFFF_FFFF
 
 let shared_store ctx addr v =
   if addr < 0 || addr + 4 > Bytes.length ctx.shared || addr land 3 <> 0 then
     fault "shared store out of bounds or misaligned: 0x%x" addr;
-  Bytes.set_int32_le ctx.shared addr (Value.to_int32 v)
+  Bytes.set_int32_le ctx.shared addr (Int32.of_int v)
 
-let eval_binop (op : Instr.binop) a b =
-  match op with
-  | Instr.Add -> Value.add a b
-  | Instr.Sub -> Value.sub a b
-  | Instr.Mul -> Value.mul a b
-  | Instr.Mulhi -> Value.mulhi_s a b
-  | Instr.Div_s -> Value.div_s a b
-  | Instr.Div_u -> Value.div_u a b
-  | Instr.Rem_s -> Value.rem_s a b
-  | Instr.Rem_u -> Value.rem_u a b
-  | Instr.Min_s -> Value.min_s a b
-  | Instr.Max_s -> Value.max_s a b
-  | Instr.Min_u -> Value.min_u a b
-  | Instr.Max_u -> Value.max_u a b
-  | Instr.And -> Value.logand a b
-  | Instr.Or -> Value.logor a b
-  | Instr.Xor -> Value.logxor a b
-  | Instr.Shl -> Value.shl a b
-  | Instr.Shr_u -> Value.shr_u a b
-  | Instr.Shr_s -> Value.shr_s a b
-  | Instr.Fadd -> Value.fadd a b
-  | Instr.Fsub -> Value.fsub a b
-  | Instr.Fmul -> Value.fmul a b
-  | Instr.Fdiv -> Value.fdiv a b
-  | Instr.Fmin -> Value.fmin a b
-  | Instr.Fmax -> Value.fmax a b
+let binop_fn : Instr.binop -> Value.t -> Value.t -> Value.t = function
+  | Instr.Add -> Value.add
+  | Instr.Sub -> Value.sub
+  | Instr.Mul -> Value.mul
+  | Instr.Mulhi -> Value.mulhi_s
+  | Instr.Div_s -> Value.div_s
+  | Instr.Div_u -> Value.div_u
+  | Instr.Rem_s -> Value.rem_s
+  | Instr.Rem_u -> Value.rem_u
+  | Instr.Min_s -> Value.min_s
+  | Instr.Max_s -> Value.max_s
+  | Instr.Min_u -> Value.min_u
+  | Instr.Max_u -> Value.max_u
+  | Instr.And -> Value.logand
+  | Instr.Or -> Value.logor
+  | Instr.Xor -> Value.logxor
+  | Instr.Shl -> Value.shl
+  | Instr.Shr_u -> Value.shr_u
+  | Instr.Shr_s -> Value.shr_s
+  | Instr.Fadd -> Value.fadd
+  | Instr.Fsub -> Value.fsub
+  | Instr.Fmul -> Value.fmul
+  | Instr.Fdiv -> Value.fdiv
+  | Instr.Fmin -> Value.fmin
+  | Instr.Fmax -> Value.fmax
 
-let eval_unop (op : Instr.unop) a =
-  match op with
-  | Instr.Mov -> a
-  | Instr.Not -> Value.lognot a
-  | Instr.Neg -> Value.neg a
-  | Instr.Abs_s -> Value.abs_s a
-  | Instr.Fneg -> Value.fneg a
-  | Instr.Fabs -> Value.fabs a
-  | Instr.Fsqrt -> Value.fsqrt a
-  | Instr.Frcp -> Value.frcp a
-  | Instr.Fexp2 -> Value.fexp2 a
-  | Instr.Flog2 -> Value.flog2 a
-  | Instr.Fsin -> Value.fsin a
-  | Instr.Fcos -> Value.fcos a
-  | Instr.Cvt_i2f -> Value.cvt_i2f a
-  | Instr.Cvt_u2f -> Value.cvt_u2f a
-  | Instr.Cvt_f2i -> Value.cvt_f2i a
+let unop_fn : Instr.unop -> Value.t -> Value.t = function
+  | Instr.Mov -> Fun.id
+  | Instr.Not -> Value.lognot
+  | Instr.Neg -> Value.neg
+  | Instr.Abs_s -> Value.abs_s
+  | Instr.Fneg -> Value.fneg
+  | Instr.Fabs -> Value.fabs
+  | Instr.Fsqrt -> Value.fsqrt
+  | Instr.Frcp -> Value.frcp
+  | Instr.Fexp2 -> Value.fexp2
+  | Instr.Flog2 -> Value.flog2
+  | Instr.Fsin -> Value.fsin
+  | Instr.Fcos -> Value.fcos
+  | Instr.Cvt_i2f -> Value.cvt_i2f
+  | Instr.Cvt_u2f -> Value.cvt_u2f
+  | Instr.Cvt_f2i -> Value.cvt_f2i
 
-let eval_cmp (kind : Instr.cmp_kind) (cmp : Instr.cmp) a b =
-  let test c =
-    match cmp with
-    | Instr.Eq -> c = 0
-    | Instr.Ne -> c <> 0
-    | Instr.Lt -> c < 0
-    | Instr.Le -> c <= 0
-    | Instr.Gt -> c > 0
-    | Instr.Ge -> c >= 0
-  in
+let mad a b c = Value.add (Value.mul a b) c
+
+let ternop_fn : Instr.ternop -> Value.t -> Value.t -> Value.t -> Value.t =
+  function
+  | Instr.Mad -> mad
+  | Instr.Fma -> Value.ffma
+
+let holds (cmp : Instr.cmp) c =
+  match cmp with
+  | Instr.Eq -> c = 0
+  | Instr.Ne -> c <> 0
+  | Instr.Lt -> c < 0
+  | Instr.Le -> c <= 0
+  | Instr.Gt -> c > 0
+  | Instr.Ge -> c >= 0
+
+(* [Value.cmp_f] without its option: unordered operands satisfy only
+   [Ne]. *)
+let fcmp_holds cmp a b =
+  let x = Int32.float_of_bits (Int32.of_int a)
+  and y = Int32.float_of_bits (Int32.of_int b) in
+  if Float.is_nan x || Float.is_nan y then cmp = Instr.Ne
+  else holds cmp (compare x y)
+
+let eval_cmp (kind : Instr.cmp_kind) cmp a b =
   match kind with
-  | Instr.Scmp -> test (Value.cmp_s a b)
-  | Instr.Ucmp -> test (Value.cmp_u a b)
-  | Instr.Fcmp -> (
-    match Value.cmp_f a b with None -> cmp = Instr.Ne | Some c -> test c)
+  | Instr.Scmp -> holds cmp (Value.cmp_s a b)
+  | Instr.Ucmp -> holds cmp (Value.cmp_u a b)
+  | Instr.Fcmp -> fcmp_holds cmp a b
 
 let eval_atom (op : Instr.atom_op) old v cas_cmp =
   match op with
@@ -192,9 +220,30 @@ let eval_atom (op : Instr.atom_op) old v cas_cmp =
   | Instr.Atom_exch -> v
   | Instr.Atom_cas -> if old = cas_cmp then v else old
 
-let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
-    ?(strict_barriers = false) ?intercept (mem : Memory.t)
-    (launch : Kernel.launch) =
+(* The lane loops: [d.(l) <- f a.(l) ..] for every lane [l] set in [m].
+   [f] is a static function value, chosen once per op. The vectors are
+   typed, so element accesses compile to plain loads and stores. *)
+let map1 m n (f : Value.t -> Value.t) (d : Value.t array) (a : Value.t array) =
+  for l = 0 to n - 1 do
+    if m land (1 lsl l) <> 0 then d.(l) <- f a.(l)
+  done
+
+let map2 m n (f : Value.t -> Value.t -> Value.t) (d : Value.t array)
+    (a : Value.t array) (b : Value.t array) =
+  for l = 0 to n - 1 do
+    if m land (1 lsl l) <> 0 then d.(l) <- f a.(l) b.(l)
+  done
+
+let map3 m n (f : Value.t -> Value.t -> Value.t -> Value.t)
+    (d : Value.t array) (a : Value.t array) (b : Value.t array)
+    (c : Value.t array) =
+  for l = 0 to n - 1 do
+    if m land (1 lsl l) <> 0 then d.(l) <- f a.(l) b.(l) c.(l)
+  done
+
+let run ?(config = default_config) ?on_exec ?on_op
+    ?(max_warp_insts = 50_000_000) ?(strict_barriers = false) ?intercept
+    (mem : Memory.t) (launch : Kernel.launch) =
   let kernel = launch.Kernel.kernel in
   let insts = kernel.Kernel.insts in
   let ninsts = Array.length insts in
@@ -213,6 +262,12 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
   let nwarps = Kernel.warps_per_block launch ~warp_size:ws_size in
   let total_warp_insts = ref 0 and total_thread_insts = ref 0 in
   let max_depth = ref 1 in
+  (* Per-run scratch: the op's byte addresses (lent to [on_op]) and one
+     vector per source position for uniform operands. *)
+  let addrs = Array.make ws_size 0 in
+  let u0 = Array.make ws_size 0
+  and u1 = Array.make ws_size 0
+  and u2 = Array.make ws_size 0 in
   let init_warp w =
     let tid_x = Array.make ws_size 0
     and tid_y = Array.make ws_size 0
@@ -259,12 +314,113 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
            })
          ctx.warps)
   in
+  (* Executes the body of [inst] on the lanes of [m] and returns how many
+     byte addresses it wrote to [addrs]. Control flow is handled by
+     [step]. *)
+  let exec_body ctx ws m (inst : Instr.t) =
+    let regs = ws.regs in
+    match inst.Instr.body with
+    | Instr.Bin (op, d, a, b) ->
+      map2 m ws_size (binop_fn op) regs.(d) (lanes ctx ws u0 a)
+        (lanes ctx ws u1 b);
+      0
+    | Instr.Un (op, d, a) ->
+      map1 m ws_size (unop_fn op) regs.(d) (lanes ctx ws u0 a);
+      0
+    | Instr.Tern (op, d, a, b, c) ->
+      map3 m ws_size (ternop_fn op) regs.(d) (lanes ctx ws u0 a)
+        (lanes ctx ws u1 b) (lanes ctx ws u2 c);
+      0
+    | Instr.Setp (kind, cmp, p, a, b) ->
+      let a = lanes ctx ws u0 a and b = lanes ctx ws u1 b
+      and dst = ws.preds.(p) in
+      for l = 0 to ws_size - 1 do
+        if m land (1 lsl l) <> 0 then dst.(l) <- eval_cmp kind cmp a.(l) b.(l)
+      done;
+      0
+    | Instr.Selp (d, a, b, p) ->
+      let a = lanes ctx ws u0 a and b = lanes ctx ws u1 b
+      and dst = regs.(d) and pv = ws.preds.(p) in
+      for l = 0 to ws_size - 1 do
+        if m land (1 lsl l) <> 0 then dst.(l) <- (if pv.(l) then a.(l) else b.(l))
+      done;
+      0
+    | Instr.Ld (space, d, base, off) ->
+      let base = lanes ctx ws u0 base and off = Value.of_signed off
+      and dst = regs.(d) and n = ref 0 in
+      for l = 0 to ws_size - 1 do
+        if m land (1 lsl l) <> 0 then begin
+          let addr = (base.(l) + off) land 0xFFFF_FFFF in
+          addrs.(!n) <- addr;
+          incr n;
+          dst.(l) <-
+            (match space with
+            | Instr.Global -> Memory.load_u32 mem addr
+            | Instr.Shared -> shared_load ctx addr)
+        end
+      done;
+      !n
+    | Instr.St (space, base, off, v) ->
+      let base = lanes ctx ws u0 base and off = Value.of_signed off
+      and v = lanes ctx ws u1 v and n = ref 0 in
+      for l = 0 to ws_size - 1 do
+        if m land (1 lsl l) <> 0 then begin
+          let addr = (base.(l) + off) land 0xFFFF_FFFF in
+          addrs.(!n) <- addr;
+          incr n;
+          match space with
+          | Instr.Global -> Memory.store_u32 mem addr v.(l)
+          | Instr.Shared -> shared_store ctx addr v.(l)
+        end
+      done;
+      !n
+    | Instr.Atom (op, d, addr_op, v) ->
+      let a = lanes ctx ws u0 addr_op and v = lanes ctx ws u1 v
+      and dst = regs.(d) and n = ref 0 in
+      for l = 0 to ws_size - 1 do
+        if m land (1 lsl l) <> 0 then begin
+          let addr = a.(l) in
+          addrs.(!n) <- addr;
+          incr n;
+          let old = Memory.load_u32 mem addr in
+          Memory.store_u32 mem addr (eval_atom op old v.(l) dst.(l));
+          dst.(l) <- old
+        end
+      done;
+      !n
+    | Instr.Bra _ | Instr.Bar | Instr.Exit -> 0
+  in
+  (* The [on_exec] record of an op that just executed: fresh arrays
+     throughout, operands read after the write like the rest of it. *)
+  let exec_record ctx ws w pc occ mask n (inst : Instr.t) =
+    let capture = config.capture_operands in
+    {
+      tb = ctx.tb_index;
+      warp = w;
+      inst_index = pc;
+      occ;
+      active = mask;
+      operands =
+        (if capture then
+           Array.of_list
+             (List.map
+                (fun op -> Array.copy (lanes ctx ws u0 op))
+                (Instr.operands inst))
+         else [||]);
+      dst_values =
+        (if capture then
+           Option.map (fun d -> Array.copy ws.regs.(d)) (Instr.dst_reg inst)
+         else None);
+      accesses = Array.sub addrs 0 n;
+    }
+  in
   let run_tb tb_index =
+    let bx, by, bz = Kernel.block_of_index launch tb_index in
     let ctx =
       {
         launch;
         tb_index;
-        ctaid = Kernel.block_of_index launch tb_index;
+        ctaid = { Kernel.x = bx; y = by; z = bz };
         shared = Bytes.make kernel.Kernel.shared_bytes '\000';
         warps = Array.init nwarps init_warp;
       }
@@ -322,82 +478,15 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
           match inst.Instr.guard with
           | None -> mask
           | Some (sense, p) ->
-            let m = ref 0 in
+            let pv = ws.preds.(p) and m = ref 0 in
             for lane = 0 to ws_size - 1 do
-              if
-                mask land (1 lsl lane) <> 0
-                && ws.preds.(p).(lane) = sense
-              then m := !m lor (1 lsl lane)
+              if mask land (1 lsl lane) <> 0 && pv.(lane) = sense then
+                m := !m lor (1 lsl lane)
             done;
             !m
         in
-        let opv lane op = operand_value ctx ws lane op in
-        let each_exec_lane f =
-          for lane = 0 to ws_size - 1 do
-            if guard_mask land (1 lsl lane) <> 0 then f lane
-          done
-        in
-        let accesses = ref [||] in
-        let continue_ = ref true in
+        let n = exec_body ctx ws guard_mask inst in
         (match inst.Instr.body with
-        | Instr.Bin (op, d, a, b) ->
-          each_exec_lane (fun lane ->
-              ws.regs.(d).(lane) <- eval_binop op (opv lane a) (opv lane b));
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Un (op, d, a) ->
-          each_exec_lane (fun lane ->
-              ws.regs.(d).(lane) <- eval_unop op (opv lane a));
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Tern (op, d, a, b, c) ->
-          each_exec_lane (fun lane ->
-              let va = opv lane a and vb = opv lane b and vc = opv lane c in
-              ws.regs.(d).(lane) <-
-                (match op with
-                | Instr.Mad -> Value.add (Value.mul va vb) vc
-                | Instr.Fma -> Value.ffma va vb vc));
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Setp (kind, cmp, p, a, b) ->
-          each_exec_lane (fun lane ->
-              ws.preds.(p).(lane) <- eval_cmp kind cmp (opv lane a) (opv lane b));
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Selp (d, a, b, p) ->
-          each_exec_lane (fun lane ->
-              ws.regs.(d).(lane) <-
-                (if ws.preds.(p).(lane) then opv lane a else opv lane b));
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Ld (space, d, base, off) ->
-          let addrs = ref [] in
-          each_exec_lane (fun lane ->
-              let addr = Value.truncate (Value.add (opv lane base) (Value.of_signed off)) in
-              addrs := addr :: !addrs;
-              ws.regs.(d).(lane) <-
-                (match space with
-                | Instr.Global -> Memory.load_u32 mem addr
-                | Instr.Shared -> shared_load ctx addr));
-          accesses := Array.of_list (List.rev !addrs);
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.St (space, base, off, v) ->
-          let addrs = ref [] in
-          each_exec_lane (fun lane ->
-              let addr = Value.truncate (Value.add (opv lane base) (Value.of_signed off)) in
-              addrs := addr :: !addrs;
-              let value = opv lane v in
-              match space with
-              | Instr.Global -> Memory.store_u32 mem addr value
-              | Instr.Shared -> shared_store ctx addr value);
-          accesses := Array.of_list (List.rev !addrs);
-          Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Atom (op, d, addr_op, v) ->
-          let addrs = ref [] in
-          each_exec_lane (fun lane ->
-              let addr = opv lane addr_op in
-              addrs := addr :: !addrs;
-              let old = Memory.load_u32 mem addr in
-              let cas_cmp = ws.regs.(d).(lane) in
-              Memory.store_u32 mem addr (eval_atom op old (opv lane v) cas_cmp);
-              ws.regs.(d).(lane) <- old);
-          accesses := Array.of_list (List.rev !addrs);
-          Simt_stack.advance ws.stack (pc + 1)
         | Instr.Bra target ->
           let taken = guard_mask in
           if taken = mask then Simt_stack.advance ws.stack target
@@ -410,44 +499,20 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
             fault "barrier executed under intra-warp divergence (pc %d)" pc;
           Simt_stack.advance ws.stack (pc + 1);
           ws.at_barrier <- true;
-          ws.last_barrier_pc <- pc;
-          continue_ := false
+          ws.last_barrier_pc <- pc
         | Instr.Exit ->
           Simt_stack.retire_lanes ws.stack guard_mask;
-          if guard_mask <> mask then Simt_stack.advance ws.stack (pc + 1)
-          else ();
-          if Simt_stack.finished ws.stack then begin
-            ws.exited <- true;
-            continue_ := false
-          end);
+          if guard_mask <> mask then Simt_stack.advance ws.stack (pc + 1);
+          if Simt_stack.finished ws.stack then ws.exited <- true
+        | _ -> Simt_stack.advance ws.stack (pc + 1));
+        (* The one observer site. [addrs] is lent to [on_op] for the call
+           only; a record is built only for [on_exec]. *)
+        (match on_op with
+        | None -> ()
+        | Some f -> f ~tb:tb_index ~warp:w ~inst:pc ~occ ~active:mask addrs n);
         (match on_exec with
         | None -> ()
-        | Some f ->
-          let operands =
-            if config.capture_operands then
-              Array.of_list
-                (List.map
-                   (fun op ->
-                     Array.init ws_size (fun lane -> operand_value ctx ws lane op))
-                   (Instr.operands inst))
-            else [||]
-          in
-          let dst_values =
-            if config.capture_operands then
-              Option.map (fun d -> Array.copy ws.regs.(d)) (Instr.dst_reg inst)
-            else None
-          in
-          f
-            {
-              tb = tb_index;
-              warp = w;
-              inst_index = pc;
-              occ;
-              active = mask;
-              operands;
-              dst_values;
-              accesses = !accesses;
-            });
+        | Some f -> f (exec_record ctx ws w pc occ mask n inst));
         (* A Force_dst interception overwrites the destination after the
            observer saw the recomputed values, modelling a (possibly
            corrupted) HRE forward taking effect. *)
@@ -464,7 +529,7 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
             done
           | None -> ())
         | Execute | Skip_instruction -> ());
-        !continue_
+        not (ws.at_barrier || ws.exited)
       end
     in
     (* Round-robin: run each warp until it blocks, release barriers when
@@ -513,9 +578,12 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
     max_stack_depth = !max_depth;
   }
 
-let run_result ?config ?on_exec ?max_warp_insts ?strict_barriers ?intercept mem
-    launch =
-  match run ?config ?on_exec ?max_warp_insts ?strict_barriers ?intercept mem launch with
+let run_result ?config ?on_exec ?on_op ?max_warp_insts ?strict_barriers
+    ?intercept mem launch =
+  match
+    run ?config ?on_exec ?on_op ?max_warp_insts ?strict_barriers ?intercept mem
+      launch
+  with
   | stats -> Ok stats
   | exception Error e -> Stdlib.Error e
   | exception Fault m -> Stdlib.Error (Exec_fault m)

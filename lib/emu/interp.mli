@@ -7,9 +7,26 @@
     interleaving of the CUDA memory model for the regular workloads the
     paper studies.
 
-    Every executed warp-instruction can be observed through the [on_exec]
-    callback; the trace library uses this to build timing traces and
-    redundancy limit studies. *)
+    {2 Observers}
+
+    Every executed warp-instruction (not a skipped one) can be observed,
+    after it has executed, in one of two forms. Both may be given; they
+    are called from the same place, [on_op] first:
+
+    - [on_op ~tb ~warp ~inst ~occ ~active addrs len] gets the op's
+      identity and its byte addresses in [addrs.(0 .. len-1)], in lane
+      order ([len = 0] for non-memory ops). [addrs] is the emulator's
+      own scratch buffer, lent for the duration of the call only: the
+      next op overwrites it, so an observer that keeps addresses copies
+      them. Observing this way allocates nothing; the trace library
+      builds timing traces with it.
+    - [on_exec] gets an {!exec_record} with fresh arrays the observer
+      may keep. The record is built only when [on_exec] is given, once
+      per op. Operand capture ([capture_operands]) is available only
+      here; the oracle and the redundancy limit studies use it.
+
+    Threadblocks are observed one after another in index order; the
+    ops of one warp are observed in execution order. *)
 
 type config = {
   warp_size : int;
@@ -113,6 +130,8 @@ val error_message : error -> string
 val run :
   ?config:config ->
   ?on_exec:(exec_record -> unit) ->
+  ?on_op:(tb:int -> warp:int -> inst:int -> occ:int -> active:int ->
+          int array -> int -> unit) ->
   ?max_warp_insts:int ->
   ?strict_barriers:bool ->
   ?intercept:(site -> action) ->
@@ -131,6 +150,8 @@ val run :
 val run_result :
   ?config:config ->
   ?on_exec:(exec_record -> unit) ->
+  ?on_op:(tb:int -> warp:int -> inst:int -> occ:int -> active:int ->
+          int array -> int -> unit) ->
   ?max_warp_insts:int ->
   ?strict_barriers:bool ->
   ?intercept:(site -> action) ->

@@ -21,15 +21,20 @@ let ensure t upto =
     t.data <- bigger
   end
 
+(* Words go through the [Int32] primitives directly: a conversion call
+   across modules would box every word. Unbacked words read zero. *)
+let word t addr =
+  if addr + 4 > Bytes.length t.data then Value.zero
+  else Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFF_FFFF
+
 let load_u32 t addr =
   check t addr;
-  if addr + 4 > Bytes.length t.data then Value.zero
-  else Value.of_int32 (Bytes.get_int32_le t.data addr)
+  word t addr
 
 let store_u32 t addr v =
   check t addr;
   ensure t (addr + 4);
-  Bytes.set_int32_le t.data addr (Value.to_int32 v)
+  Bytes.set_int32_le t.data addr (Int32.of_int v)
 
 let load_f32 t addr = Value.to_float (load_u32 t addr)
 
@@ -57,15 +62,11 @@ let extent t = Bytes.length t.data
 
 let diff ?(limit = 32) a b =
   let words = (max (extent a) (extent b)) / 4 in
-  let read t addr =
-    if addr + 4 > Bytes.length t.data then Value.zero
-    else Value.of_int32 (Bytes.get_int32_le t.data addr)
-  in
   let out = ref [] and n = ref 0 in
   let w = ref 0 in
   while !n < limit && !w < words do
     let addr = 4 * !w in
-    let va = read a addr and vb = read b addr in
+    let va = word a addr and vb = word b addr in
     if va <> vb then begin
       out := (addr, va, vb) :: !out;
       incr n

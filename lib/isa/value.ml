@@ -80,17 +80,16 @@ let shr_s a b =
   let s = to_signed a in
   if b land mask >= 32 then of_signed (s asr 62) else of_signed (s asr b)
 
-let f2 op a b = of_float (round_f32 (op (to_float a) (to_float b)))
+(* Each float operation is spelled out rather than passed to a helper as
+   a function value: through an unknown call every operand and result
+   would be boxed. *)
+let fadd a b = of_float (round_f32 (to_float a +. to_float b))
 
-let f1 op a = of_float (round_f32 (op (to_float a)))
+let fsub a b = of_float (round_f32 (to_float a -. to_float b))
 
-let fadd = f2 ( +. )
+let fmul a b = of_float (round_f32 (to_float a *. to_float b))
 
-let fsub = f2 ( -. )
-
-let fmul = f2 ( *. )
-
-let fdiv = f2 ( /. )
+let fdiv a b = of_float (round_f32 (to_float a /. to_float b))
 
 let ffma a b c =
   of_float (round_f32 ((to_float a *. to_float b) +. to_float c))
@@ -107,17 +106,17 @@ let fneg a = a lxor 0x80000000
 
 let fabs a = a land 0x7FFFFFFF
 
-let fsqrt = f1 sqrt
+let fsqrt a = of_float (round_f32 (sqrt (to_float a)))
 
-let frcp = f1 (fun x -> 1.0 /. x)
+let frcp a = of_float (round_f32 (1.0 /. to_float a))
 
-let fexp2 = f1 (fun x -> Float.exp2 x)
+let fexp2 a = of_float (round_f32 (Float.exp2 (to_float a)))
 
-let flog2 = f1 (fun x -> Float.log2 x)
+let flog2 a = of_float (round_f32 (Float.log2 (to_float a)))
 
-let fsin = f1 sin
+let fsin a = of_float (round_f32 (sin (to_float a)))
 
-let fcos = f1 cos
+let fcos a = of_float (round_f32 (cos (to_float a)))
 
 let cvt_i2f a = of_float (round_f32 (float_of_int (to_signed a)))
 

@@ -16,10 +16,6 @@ val truncate : int -> t
 
 val zero : t
 
-val of_int32 : int32 -> t
-
-val to_int32 : t -> int32
-
 val to_signed : t -> int
 (** Interpret as a signed 32-bit integer (sign extended into the native
     [int]). *)

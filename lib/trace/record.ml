@@ -59,6 +59,8 @@ module Builder = struct
 
   let create () = { ops = [||]; n_ops = 0; side = [| 0 |]; n_side = 1 }
 
+  (* [a] with room for at least [need] ints: itself, or a copy at least
+     twice as long. *)
   let grow a need =
     if need <= Array.length a then a
     else begin
@@ -67,41 +69,37 @@ module Builder = struct
       bigger
     end
 
-  let push_side b x =
-    b.side <- grow b.side (b.n_side + 1);
-    b.side.(b.n_side) <- x;
-    b.n_side <- b.n_side + 1
-
-  (* Whether every lane of [a] lies on [a.(0) + k * stride]. *)
-  let fits a stride =
-    let ok = ref true and k = ref 2 in
-    while !ok && !k < Array.length a do
-      ok := a.(!k) = a.(0) + (!k * stride);
+  (* Whether every lane of [buf.(0 .. len-1)] lies on [buf.(0) + k *
+     stride]. *)
+  let fits buf len stride =
+    let k = ref 2 in
+    while !k < len && buf.(!k) = buf.(0) + (!k * stride) do
       incr k
     done;
-    !ok
+    !k >= len
 
-  let add b ~idx ~occ ~active accesses =
+  let add b ~idx ~occ ~active buf len =
     if idx < 0 || idx > idx_mask then
       invalid_arg (Printf.sprintf "Record.Builder.add: idx %d out of range" idx);
     if occ < 0 || occ > max_occ then
       invalid_arg (Printf.sprintf "Record.Builder.add: occ %d out of range" occ);
-    let len = Array.length accesses in
     let off =
       if len = 0 then 0
       else begin
         let off = b.n_side in
-        let stride = if len < 2 then 0 else accesses.(1) - accesses.(0) in
-        if fits accesses stride then begin
-          push_side b (len lsl 1);
-          push_side b accesses.(0);
-          push_side b stride
+        let stride = if len < 2 then 0 else buf.(1) - buf.(0) in
+        if fits buf len stride then begin
+          b.side <- grow b.side (off + 3);
+          b.side.(off) <- len lsl 1;
+          b.side.(off + 1) <- buf.(0);
+          b.side.(off + 2) <- stride;
+          b.n_side <- off + 3
         end
         else begin
-          push_side b ((len lsl 1) lor 1);
-          b.side <- grow b.side (b.n_side + len);
-          Array.blit accesses 0 b.side b.n_side len;
-          b.n_side <- b.n_side + len
+          b.side <- grow b.side (off + 1 + len);
+          b.side.(off) <- (len lsl 1) lor 1;
+          Array.blit buf 0 b.side (off + 1) len;
+          b.n_side <- off + 1 + len
         end;
         off
       end
@@ -114,28 +112,41 @@ module Builder = struct
     b.n_ops <- b.n_ops + 1
 
   let finish b =
-    {
-      n = b.n_ops;
-      ops = Array.sub b.ops 0 (3 * b.n_ops);
-      side = Array.sub b.side 0 b.n_side;
-    }
+    let w =
+      {
+        n = b.n_ops;
+        ops = Array.sub b.ops 0 (3 * b.n_ops);
+        side = Array.sub b.side 0 b.n_side;
+      }
+    in
+    b.n_ops <- 0;
+    b.n_side <- 1;
+    w
 end
 
+(* Threadblocks execute one after another, so one row of builders serves
+   them all: when the first op of a later threadblock arrives, the rows
+   of the threadblocks before it are finished. Only the current
+   threadblock's trace is ever held in growable arrays. *)
 let generate ?(warp_size = 32) mem (launch : Kernel.launch) =
   let ntbs = Kernel.num_blocks launch in
   let nwarps = Kernel.warps_per_block launch ~warp_size in
-  let builders =
-    Array.init ntbs (fun _ -> Array.init nwarps (fun _ -> Builder.create ()))
+  let builders = Array.init nwarps (fun _ -> Builder.create ()) in
+  let tbs = Array.make ntbs [||] in
+  let cur = ref 0 in
+  let finish_until tb =
+    while !cur < tb do
+      tbs.(!cur) <- Array.map Builder.finish builders;
+      incr cur
+    done
   in
-  let on_exec (r : Interp.exec_record) =
-    Builder.add
-      builders.(r.Interp.tb).(r.Interp.warp)
-      ~idx:r.Interp.inst_index ~occ:r.Interp.occ ~active:r.Interp.active
-      r.Interp.accesses
+  let on_op ~tb ~warp ~inst ~occ ~active addrs len =
+    if tb <> !cur then finish_until tb;
+    Builder.add builders.(warp) ~idx:inst ~occ ~active addrs len
   in
   let config = { Interp.warp_size; capture_operands = false } in
-  let emu_stats = Interp.run ~config ~on_exec mem launch in
-  let tbs = Array.map (Array.map Builder.finish) builders in
+  let emu_stats = Interp.run ~config ~on_op mem launch in
+  finish_until ntbs;
   { launch; warp_size; tbs; emu_stats }
 
 let total_ops t =

@@ -107,12 +107,16 @@ module Builder : sig
 
   val create : unit -> t
 
-  val add : t -> idx:int -> occ:int -> active:int -> int array -> unit
-  (** Append one op with its access vector (empty for non-memory ops),
-      coded by the rule above. Raises [Invalid_argument] when [idx] is
+  val add : t -> idx:int -> occ:int -> active:int -> int array -> int -> unit
+  (** [add b ~idx ~occ ~active buf len] appends one op with the access
+      vector [buf.(0 .. len-1)] ([len = 0] for non-memory ops), coded by
+      the rule above. [buf] is only read during the call, so it can be a
+      reused scratch buffer; nothing is allocated beyond the builder's
+      own amortised growth. Raises [Invalid_argument] when [idx] is
       outside [0, 2^20) or [occ] is negative or too large to pack beside
       it; nothing is ever truncated. *)
 
   val finish : t -> warp
-  (** The trace built so far, in exact-size arrays. *)
+  (** The trace built so far, in exact-size arrays. The builder is left
+      empty, with its capacity kept for the next warp. *)
 end

@@ -504,7 +504,7 @@ let ring_warp ~depth =
     trace =
       (let b = Darsie_trace.Record.Builder.create () in
        for i = 0 to 63 do
-         Darsie_trace.Record.Builder.add b ~idx:i ~occ:0 ~active:1 [||]
+         Darsie_trace.Record.Builder.add b ~idx:i ~occ:0 ~active:1 [||] 0
        done;
        Darsie_trace.Record.Builder.finish b);
     fi = 0;
@@ -620,6 +620,28 @@ let test_alloc_budget name factory budget () =
     Alcotest.failf "%s allocates %.1f words per SM-cycle (budget %.0f)" name w
       budget
 
+(* Minor-heap words allocated per dynamic warp-op by [Record.generate]
+   (emulation plus trace building) on MM at scale 1. Deterministic like
+   the cycle-loop budget above; the budget is one tenth of the cost
+   before the emulator's per-op path was de-allocated, 192.5 words per
+   warp-op. *)
+let emu_words_per_op () =
+  let w = Option.get (Darsie_workloads.Registry.find "MM") in
+  let p = w.Darsie_workloads.Workload.prepare ~scale:1 in
+  let w0 = Gc.minor_words () in
+  let t =
+    Darsie_trace.Record.generate p.Darsie_workloads.Workload.mem
+      p.Darsie_workloads.Workload.launch
+  in
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Darsie_trace.Record.total_ops t)
+
+let test_emu_alloc_budget () =
+  let w = emu_words_per_op () in
+  if w > 19.25 then
+    Alcotest.failf "Record.generate allocates %.1f words per warp-op (budget 19.25)"
+      w
+
 let () =
   Alcotest.run "darsie_timing"
     [
@@ -670,5 +692,6 @@ let () =
           Alcotest.test_case "MM DARSIE" `Quick
             (test_alloc_budget "DARSIE" (Darsie_core.Darsie_engine.factory ())
                204.);
+          Alcotest.test_case "MM Record.generate" `Quick test_emu_alloc_budget;
         ] );
     ]

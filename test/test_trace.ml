@@ -168,13 +168,22 @@ let qcheck_access_coding =
        ~print:QCheck.Print.(list print_op)
        QCheck.Gen.(list_size (int_range 0 20) op_gen))
     (fun ops ->
+      (* Each vector is passed as the prefix of a longer buffer, as the
+         emulator's scratch is; the lanes past [len] must not count. *)
       let b = Record.Builder.create () in
-      List.iter
-        (fun (idx, occ, active, acc) ->
-          Record.Builder.add b ~idx ~occ ~active acc)
-        ops;
-      let w = Record.Builder.finish b in
-      Record.length w = List.length ops
+      let build () =
+        List.iter
+          (fun (idx, occ, active, acc) ->
+            Record.Builder.add b ~idx ~occ ~active
+              (Array.append acc [| 3; 1 lsl 40 |])
+              (Array.length acc))
+          ops;
+        Record.Builder.finish b
+      in
+      let w = build () in
+      (* [finish] leaves the builder empty and reusable. *)
+      build () = w
+      && Record.length w = List.length ops
       && List.for_all2
            (fun i (idx, occ, active, acc) ->
              let buf = Array.make 64 (-1) in
@@ -197,15 +206,15 @@ let test_builder_ranges () =
       (match f () with () -> false | exception Invalid_argument _ -> true)
   in
   raises "idx beyond its field" (fun () ->
-      Record.Builder.add b ~idx:(1 lsl 20) ~occ:0 ~active:1 [||]);
+      Record.Builder.add b ~idx:(1 lsl 20) ~occ:0 ~active:1 [||] 0);
   raises "negative idx" (fun () ->
-      Record.Builder.add b ~idx:(-1) ~occ:0 ~active:1 [||]);
+      Record.Builder.add b ~idx:(-1) ~occ:0 ~active:1 [||] 0);
   raises "negative occ" (fun () ->
-      Record.Builder.add b ~idx:0 ~occ:(-1) ~active:1 [||]);
+      Record.Builder.add b ~idx:0 ~occ:(-1) ~active:1 [||] 0);
   raises "occ beyond its field" (fun () ->
-      Record.Builder.add b ~idx:0 ~occ:(max_int lsr 19) ~active:1 [||]);
+      Record.Builder.add b ~idx:0 ~occ:(max_int lsr 19) ~active:1 [||] 0);
   Record.Builder.add b ~idx:((1 lsl 20) - 1) ~occ:(max_int lsr 20) ~active:1
-    [||];
+    [||] 0;
   let w = Record.Builder.finish b in
   check_int "only the fitting op was added" 1 (Record.length w);
   check_int "largest idx" ((1 lsl 20) - 1) (Record.idx w 0);
